@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unicode/utf8"
 )
 
 // wordBits is the number of bits per storage word.
@@ -141,17 +142,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 // Transpose returns a new matrix that is the transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		base := i * m.wpr
-		for wi := 0; wi < m.wpr; wi++ {
-			w := m.bits[base+wi]
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				t.Set(wi*wordBits+b, i, true)
-			}
-		}
-	}
+	transposeWords(t.bits, m.bits, m.rows, m.cols)
 	return t
 }
 
@@ -229,35 +220,77 @@ func (m *Matrix) String() string {
 
 // Parse reads a matrix in the format produced by String: one row per line of
 // '0'/'1' characters (spaces, tabs and commas between digits are ignored;
-// blank lines and lines starting with '#' are skipped).
+// blank lines and lines starting with '#' are skipped). Lines end at '\n' and
+// are trimmed of Unicode white space at both ends.
+//
+// The first pass validates the input and sizes the matrix; the second packs
+// the digits straight into the matrix words.
 func Parse(s string) (*Matrix, error) {
-	var rows [][]int
-	for ln, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	rows, cols := 0, 0
+	for ln, rest := 1, s; rest != ""; ln++ {
+		var line string
+		line, rest = nextLine(rest)
+		if line == "" {
 			continue
 		}
-		var row []int
-		for _, c := range line {
-			switch c {
-			case '0':
-				row = append(row, 0)
-			case '1':
-				row = append(row, 1)
+		n := 0
+		for k := 0; k < len(line); k++ {
+			switch c := line[k]; c {
+			case '0', '1':
+				n++
 			case ' ', '\t', ',':
 			default:
-				return nil, fmt.Errorf("bitmat: line %d: invalid character %q", ln+1, c)
+				r := rune(c)
+				if c >= utf8.RuneSelf {
+					r, _ = utf8.DecodeRuneInString(line[k:])
+				}
+				return nil, fmt.Errorf("bitmat: line %d: invalid character %q", ln, r)
 			}
 		}
-		if len(rows) > 0 && len(row) != len(rows[0]) {
-			return nil, fmt.Errorf("bitmat: line %d: %d columns, want %d", ln+1, len(row), len(rows[0]))
+		if rows > 0 && n != cols {
+			return nil, fmt.Errorf("bitmat: line %d: %d columns, want %d", ln, n, cols)
 		}
-		rows = append(rows, row)
+		rows, cols = rows+1, n
 	}
-	if len(rows) == 0 {
+	if rows == 0 {
 		return nil, fmt.Errorf("bitmat: empty input")
 	}
-	return FromRows(rows), nil
+	m := New(rows, cols)
+	i := 0
+	for rest := s; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
+		if line == "" {
+			continue
+		}
+		row := m.bits[i*m.wpr : (i+1)*m.wpr]
+		j := 0
+		for k := 0; k < len(line); k++ {
+			switch line[k] {
+			case '1':
+				row[j/wordBits] |= 1 << (uint(j) % wordBits)
+				j++
+			case '0':
+				j++
+			}
+		}
+		i++
+	}
+	return m, nil
+}
+
+// nextLine splits s at its first '\n' and returns the first line trimmed of
+// white space, or "" when that line is blank or a '#' comment.
+func nextLine(s string) (line, rest string) {
+	line = s
+	if k := strings.IndexByte(s, '\n'); k >= 0 {
+		line, rest = s[:k], s[k+1:]
+	}
+	line = strings.TrimSpace(line)
+	if strings.HasPrefix(line, "#") {
+		line = ""
+	}
+	return line, rest
 }
 
 // MustParse is Parse that panics on error; intended for tests and fixed

@@ -2,6 +2,7 @@ package bitmat
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +109,64 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse("1x0"); err == nil {
 		t.Error("invalid character should error")
+	}
+}
+
+// TestParseCompatibility pins Parse's grammar and exact error strings: lines
+// split on '\n', Unicode whitespace trimmed at both ends, blank and '#' lines
+// skipped, ' ', '\t' and ',' ignored between digits, any other rune
+// (invalid UTF-8 reads as U+FFFD) an error, ragged rows measured against the
+// first row.
+func TestParseCompatibility(t *testing.T) {
+	wide := strings.Repeat("10", 35)
+	cases := []struct {
+		name, in string
+		want     string // m.String() on success
+		rows     int
+		cols     int
+		err      string
+	}{
+		{name: "crlf", in: "10\r\n01\r\n", want: "10\n01", rows: 2, cols: 2},
+		{name: "trailing newline", in: "101\n010\n", want: "101\n010", rows: 2, cols: 3},
+		{name: "separators", in: "  1 0 1\t\n0,1,1 ", want: "101\n011", rows: 2, cols: 3},
+		{name: "comments and blanks", in: "# header\n\n101\n#2x\n   \n010", want: "101\n010", rows: 2, cols: 3},
+		{name: "indented comment", in: "  # note\n1", want: "1", rows: 1, cols: 1},
+		{name: "unicode space at ends", in: "\u3000 10\u2003\n01\u00a0\u0085", want: "10\n01", rows: 2, cols: 2},
+		{name: "ascii control space at ends", in: "\t\v\f101\r", want: "101", rows: 1, cols: 3},
+		{name: "wider than a word", in: wide + "\n" + wide, want: wide + "\n" + wide, rows: 2, cols: 70},
+		{name: "zero columns", in: ",", want: "", rows: 1, cols: 0},
+		{name: "zero columns two rows", in: " , \n , ", want: "\n", rows: 2, cols: 0},
+		{name: "empty", in: "", err: "bitmat: empty input"},
+		{name: "only comments and blanks", in: "# only\n\n  \r\n", err: "bitmat: empty input"},
+		{name: "invalid ascii", in: "1x0", err: `bitmat: line 1: invalid character 'x'`},
+		{name: "invalid separator", in: "1,0;1", err: `bitmat: line 1: invalid character ';'`},
+		{name: "inner vertical tab", in: "11\n1\v0", err: `bitmat: line 2: invalid character '\v'`},
+		{name: "inner carriage return", in: "1\r0", err: `bitmat: line 1: invalid character '\r'`},
+		{name: "inner unicode space", in: "1\u00a00", err: `bitmat: line 1: invalid character '\u00a0'`},
+		{name: "non-ascii", in: "# c\n1é0", err: `bitmat: line 2: invalid character 'é'`},
+		{name: "invalid utf-8", in: "10\n0\xff1", err: `bitmat: line 2: invalid character '�'`},
+		{name: "invalid utf-8 at line end", in: "01\xff", err: `bitmat: line 1: invalid character '�'`},
+		{name: "ragged", in: "101\n10", err: "bitmat: line 2: 2 columns, want 3"},
+		{name: "ragged after skipped lines", in: "# c\n\n101\n\n1 1", err: "bitmat: line 5: 2 columns, want 3"},
+		{name: "ragged against zero columns", in: ",\n1", err: "bitmat: line 2: 1 columns, want 0"},
+		{name: "invalid character before ragged", in: "101\n1x", err: `bitmat: line 2: invalid character 'x'`},
+		{name: "invalid character after ragged digits", in: "10\n101x", err: `bitmat: line 2: invalid character 'x'`},
+	}
+	for _, tc := range cases {
+		m, err := Parse(tc.in)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s: Parse(%q) error = %v, want %q", tc.name, tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Parse(%q): %v", tc.name, tc.in, err)
+			continue
+		}
+		if m.Rows() != tc.rows || m.Cols() != tc.cols || m.String() != tc.want {
+			t.Errorf("%s: Parse(%q) = %d×%d %q, want %d×%d %q", tc.name, tc.in, m.Rows(), m.Cols(), m.String(), tc.rows, tc.cols, tc.want)
+		}
 	}
 }
 

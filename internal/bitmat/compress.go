@@ -1,5 +1,7 @@
 package bitmat
 
+import "slices"
+
 // Compression records how a matrix was reduced by dropping all-zero rows and
 // columns and consolidating duplicates, together with the maps needed to
 // lift a rectangle partition of the compressed matrix back to the original.
@@ -24,56 +26,128 @@ type Compression struct {
 // duplicate columns, returning the reduction record. The compressed matrix
 // has the same binary rank as the original.
 func Compress(m *Matrix) *Compression {
-	// Group duplicate nonzero rows.
-	rowIdx := make(map[string]int)
-	var rowGroups [][]int
-	var rowReps []int
-	for i := 0; i < m.rows; i++ {
-		r := m.Row(i)
-		if r.IsZero() {
-			continue
-		}
-		k := r.Key()
-		if g, ok := rowIdx[k]; ok {
-			rowGroups[g] = append(rowGroups[g], i)
-			continue
-		}
-		rowIdx[k] = len(rowGroups)
-		rowGroups = append(rowGroups, []int{i})
-		rowReps = append(rowReps, i)
-	}
-	// Build the row-deduplicated matrix, then group duplicate nonzero
-	// columns of that.
-	rd := New(len(rowReps), m.cols)
-	for ri, orig := range rowReps {
-		rd.SetRow(ri, m.Row(orig))
-	}
-	rdT := rd.Transpose()
-	colIdx := make(map[string]int)
-	var colGroups [][]int
-	var colReps []int
-	for j := 0; j < rdT.rows; j++ {
-		c := rdT.Row(j)
-		if c.IsZero() {
-			continue
-		}
-		k := c.Key()
-		if g, ok := colIdx[k]; ok {
-			colGroups[g] = append(colGroups[g], j)
-			continue
-		}
-		colIdx[k] = len(colGroups)
-		colGroups = append(colGroups, []int{j})
-		colReps = append(colReps, j)
-	}
-	reduced := rd.Submatrix(seq(len(rowReps)), colReps)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.compress(m)
+}
+
+func (s *scratch) compress(m *Matrix) *Compression {
+	// Group duplicate nonzero rows, then group duplicate nonzero columns of
+	// the row-deduplicated matrix. Groups are numbered in order of first
+	// appearance, and the first line of each group is its representative.
+	s.rowGroup = resize(s.rowGroup, m.rows)
+	nr := s.groupLines(m.bits, m.wpr, s.rowGroup)
+	s.lines = packLines(s.lines, m.bits, m.wpr, s.reps[:nr])
+	rowGroups := s.groupLists(s.rowGroup, nr)
+
+	wprT := wordsFor(nr)
+	s.linesT = resize(s.linesT, m.cols*wprT)
+	clear(s.linesT)
+	transposeWords(s.linesT, s.lines, nr, m.cols)
+	s.colGroup = resize(s.colGroup, m.cols)
+	nc := s.groupLines(s.linesT, wprT, s.colGroup)
+	// The representative columns, packed, transpose into the reduced matrix.
+	s.lines = packLines(s.lines, s.linesT, wprT, s.reps[:nc])
+	reduced := New(nr, nc)
+	transposeWords(reduced.bits, s.lines, nc, nr)
 	return &Compression{
 		Reduced:   reduced,
 		RowGroups: rowGroups,
-		ColGroups: colGroups,
+		ColGroups: s.groupLists(s.colGroup, nc),
 		OrigRows:  m.rows,
 		OrigCols:  m.cols,
 	}
+}
+
+// groupLines assigns each line of words (lines of wpl words) the number of
+// its duplicate group, or -1 for an all-zero line, and returns the number of
+// groups. Groups are numbered in order of first appearance and s.reps[g] is
+// the first line of group g. Lines are bucketed by a hash of their words in
+// an open-addressing table and compared word for word on a hash match.
+func (s *scratch) groupLines(words []uint64, wpl int, group []int32) int {
+	n := len(group)
+	size := 4
+	for size < 2*n {
+		size <<= 1
+	}
+	mask := size - 1
+	s.table = resize(s.table, size)
+	clear(s.table)
+	s.hashes = resize(s.hashes, n)
+	s.reps = resize(s.reps, n)
+	groups := 0
+	for i := 0; i < n; i++ {
+		line := words[i*wpl : (i+1)*wpl]
+		h, zero := uint64(0x6a09e667f3bcc909), true
+		for _, w := range line {
+			h = mix64(h, w)
+			zero = zero && w == 0
+		}
+		if zero {
+			group[i] = -1
+			continue
+		}
+		for slot := int(h) & mask; ; slot = (slot + 1) & mask {
+			e := s.table[slot]
+			if e == 0 {
+				s.table[slot] = int32(groups) + 1
+				s.hashes[groups] = h
+				s.reps[groups] = int32(i)
+				group[i] = int32(groups)
+				groups++
+				break
+			}
+			g := e - 1
+			if r := int(s.reps[g]); s.hashes[g] == h && slices.Equal(line, words[r*wpl:(r+1)*wpl]) {
+				group[i] = g
+				break
+			}
+		}
+	}
+	return groups
+}
+
+// packLines copies lines idx of words (lines of wpl words) into buf, in
+// order, and returns it.
+func packLines(buf, words []uint64, wpl int, idx []int32) []uint64 {
+	buf = resize(buf, len(idx)*wpl)
+	for k, i := range idx {
+		copy(buf[k*wpl:(k+1)*wpl], words[int(i)*wpl:(int(i)+1)*wpl])
+	}
+	return buf
+}
+
+// groupLists returns the member lists of n groups given each line's group
+// (-1 for none), members ascending, all sharing one backing array. It
+// returns nil when n is 0.
+func (s *scratch) groupLists(group []int32, n int) [][]int {
+	if n == 0 {
+		return nil
+	}
+	s.counts = resize(s.counts, n+1)
+	clear(s.counts)
+	members := 0
+	for _, g := range group {
+		if g >= 0 {
+			s.counts[g+1]++
+			members++
+		}
+	}
+	for g := 0; g < n; g++ {
+		s.counts[g+1] += s.counts[g]
+	}
+	backing := make([]int, members)
+	out := make([][]int, n)
+	for g := range out {
+		lo, hi := s.counts[g], s.counts[g+1]
+		out[g] = backing[lo:lo:hi]
+	}
+	for i, g := range group {
+		if g >= 0 {
+			out[g] = append(out[g], i)
+		}
+	}
+	return out
 }
 
 // ExpandRows maps a set of reduced row indices to the corresponding original
@@ -93,12 +167,4 @@ func (c *Compression) ExpandCols(reduced []int) []int {
 		out = append(out, c.ColGroups[cc]...)
 	}
 	return out
-}
-
-func seq(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }

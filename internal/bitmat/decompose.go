@@ -1,7 +1,5 @@
 package bitmat
 
-import "sort"
-
 // Block is one connected component of a matrix's bipartite row-column graph,
 // extracted as a standalone matrix together with the index maps back to the
 // matrix it was cut from (mirroring Compression's lift maps).
@@ -31,61 +29,50 @@ type Decomposition struct {
 // The union of the blocks' 1-entries is exactly the 1-entries of m; each
 // block matrix has no all-zero row or column.
 func Decompose(m *Matrix) *Decomposition {
-	// Union-find over rows [0, rows) and columns [rows, rows+cols).
-	parent := make([]int, m.rows+m.cols)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	colUsed := make([]bool, m.cols)
-	m.ForEachOne(func(i, j int) {
-		union(i, m.rows+j)
-		colUsed[j] = true
-	})
-
-	// Group nonzero rows and columns by component root.
-	rowsOf := make(map[int][]int)
-	colsOf := make(map[int][]int)
-	for i := 0; i < m.rows; i++ {
-		if !m.Row(i).IsZero() {
-			r := find(i)
-			rowsOf[r] = append(rowsOf[r], i)
-		}
-	}
-	for j := 0; j < m.cols; j++ {
-		if colUsed[j] {
-			r := find(m.rows + j)
-			colsOf[r] = append(colsOf[r], j)
-		}
-	}
-
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	g := &s.g
+	g.build(m)
 	d := &Decomposition{OrigRows: m.rows, OrigCols: m.cols}
-	roots := make([]int, 0, len(rowsOf))
-	for r := range rowsOf {
-		roots = append(roots, r)
+	if len(g.comps) == 0 {
+		return d
 	}
-	// Deterministic block order: by smallest original row index.
-	sort.Slice(roots, func(a, b int) bool { return rowsOf[roots[a]][0] < rowsOf[roots[b]][0] })
-	for _, r := range roots {
-		rows, cols := rowsOf[r], colsOf[r]
-		d.Blocks = append(d.Blocks, Block{
-			M:    m.Submatrix(rows, cols),
-			Rows: rows,
-			Cols: cols,
-		})
+	// The blocks' index lists, matrix headers and matrix words each share one
+	// backing array, with capacities capped so no block can grow into the
+	// next.
+	words := 0
+	for _, c := range g.comps {
+		r, cc := c.dims()
+		words += r * wordsFor(cc)
+	}
+	rows := make([]int, len(g.rows))
+	cols := make([]int, len(g.cols))
+	for p, i := range g.rows {
+		rows[p] = int(i)
+	}
+	for p, j := range g.cols {
+		cols[p] = int(j)
+	}
+	mats := make([]Matrix, len(g.comps))
+	bits := make([]uint64, words)
+	d.Blocks = make([]Block, len(g.comps))
+	for k, c := range g.comps {
+		r, cc := c.dims()
+		wpr := wordsFor(cc)
+		b := &mats[k]
+		*b = Matrix{rows: r, cols: cc, wpr: wpr, bits: bits[: r*wpr : r*wpr]}
+		bits = bits[r*wpr:]
+		for li := 0; li < r; li++ {
+			row := b.bits[li*wpr : (li+1)*wpr]
+			for _, lj := range g.rowNeighbors(c, li) {
+				row[lj/wordBits] |= 1 << (uint(lj) % wordBits)
+			}
+		}
+		d.Blocks[k] = Block{
+			M:    b,
+			Rows: rows[c.r0:c.r1:c.r1],
+			Cols: cols[c.c0:c.c1:c.c1],
+		}
 	}
 	return d
 }

@@ -2,10 +2,11 @@ package bitmat
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // Fingerprint is a canonical-form record of a matrix: Hash is identical for
@@ -54,282 +55,349 @@ type Fingerprint struct {
 const canonicalLabelBudget = 4096
 
 // ComputeFingerprint canonicalizes m and returns its fingerprint record.
+//
+// It runs Compress, splits the reduced matrix into the connected components
+// of its row–column graph (the kernel Decompose uses), labels each component
+// canonically and hashes the components' serializations in canonical order.
+// All working buffers come from one pooled scratch, so the call allocates
+// little beyond the record it returns.
 func ComputeFingerprint(m *Matrix) *Fingerprint {
-	comp := Compress(m)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	comp := s.compress(m)
 	r := comp.Reduced
-	dec := Decompose(r)
+	g := &s.g
+	g.build(r)
 
-	budget := canonicalLabelBudget
-	type labeledBlock struct {
-		ser    []byte
-		ro, co []int
-		blk    Block
+	// Each component's serialization has a fixed length: its dimensions as
+	// uvarints, then its bits.
+	s.serOff = resize(s.serOff, len(g.comps)+1)
+	s.serOff[0] = 0
+	for k, c := range g.comps {
+		nr, nc := c.dims()
+		s.serOff[k+1] = s.serOff[k] + uvarintLen(nr) + uvarintLen(nc) + (nr*nc+7)/8
 	}
-	labeled := make([]labeledBlock, 0, len(dec.Blocks))
-	for _, b := range dec.Blocks {
-		ser, ro, co, ok := canonicalLabel(b.M, &budget)
-		if !ok {
+	s.ser = resize(s.ser, s.serOff[len(g.comps)])
+	s.rowOrder = resize(s.rowOrder, len(g.rows))
+	s.colOrder = resize(s.colOrder, len(g.cols))
+	budget := canonicalLabelBudget
+	for k := range g.comps {
+		if !s.labelComponent(g, k, &budget) {
 			// Deterministic but not permutation-invariant: hash the reduced
 			// matrix as-is and mark the fingerprint unusable for caching.
-			h := sha256.New()
-			h.Write([]byte("ebmf/fp/v1/inexact\n"))
-			writeMatrix(h.Write, r)
-			return &Fingerprint{Hash: hex.EncodeToString(h.Sum(nil)), Comp: comp}
+			b := append(s.hashIn[:0], "ebmf/fp/v1/inexact\n"...)
+			b = binary.AppendUvarint(b, uint64(r.rows))
+			b = binary.AppendUvarint(b, uint64(r.cols))
+			for _, w := range r.bits {
+				b = binary.LittleEndian.AppendUint64(b, w)
+			}
+			s.hashIn = b
+			return &Fingerprint{Hash: hexSum(b), Comp: comp}
 		}
-		labeled = append(labeled, labeledBlock{ser: ser, ro: ro, co: co, blk: b})
 	}
+	ser := func(k int32) []byte { return s.ser[s.serOff[k]:s.serOff[k+1]] }
 	// Canonical block order: by serialization; ties are identical blocks, so
-	// the hash is unaffected — break them by first original row only to keep
-	// the maps deterministic for a fixed input.
-	sort.Slice(labeled, func(a, b int) bool {
-		if c := bytes.Compare(labeled[a].ser, labeled[b].ser); c != 0 {
-			return c < 0
+	// the hash is unaffected — break them by smallest original row (the
+	// component number) only to keep the maps deterministic for a fixed
+	// input.
+	s.blockOrder = resize(s.blockOrder, len(g.comps))
+	for k := range s.blockOrder {
+		s.blockOrder[k] = int32(k)
+	}
+	slices.SortFunc(s.blockOrder, func(a, b int32) int {
+		if c := bytes.Compare(ser(a), ser(b)); c != 0 {
+			return c
 		}
-		return labeled[a].blk.Rows[0] < labeled[b].blk.Rows[0]
+		return cmp.Compare(a, b)
 	})
 
-	h := sha256.New()
-	h.Write([]byte("ebmf/fp/v1\n"))
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint(h.Write, scratch[:], uint64(len(labeled)))
-	totR, totC := 0, 0
-	for _, lb := range labeled {
-		writeUvarint(h.Write, scratch[:], uint64(len(lb.ser)))
-		h.Write(lb.ser)
-		totR += lb.blk.M.Rows()
-		totC += lb.blk.M.Cols()
+	b := append(s.hashIn[:0], "ebmf/fp/v1\n"...)
+	b = binary.AppendUvarint(b, uint64(len(g.comps)))
+	for _, k := range s.blockOrder {
+		b = binary.AppendUvarint(b, uint64(len(ser(k))))
+		b = append(b, ser(k)...)
 	}
+	s.hashIn = b
 
+	totR, totC := len(g.rows), len(g.cols)
 	fp := &Fingerprint{
-		Hash:      hex.EncodeToString(h.Sum(nil)),
+		Hash:      hexSum(b),
 		Exact:     true,
 		Canonical: New(totR, totC),
 		Comp:      comp,
 		RowMap:    make([]int, totR),
 		ColMap:    make([]int, totC),
 	}
+	canon := fp.Canonical
 	rowOff, colOff := 0, 0
-	for _, lb := range labeled {
-		b := lb.blk
-		for p, br := range lb.ro {
-			fp.RowMap[rowOff+p] = b.Rows[br]
+	for _, k := range s.blockOrder {
+		c := g.comps[k]
+		nr, nc := c.dims()
+		ro, co := s.rowOrder[c.r0:c.r1], s.colOrder[c.c0:c.c1]
+		s.pos = resize(s.pos, nc)
+		for q, lj := range co {
+			fp.ColMap[colOff+q] = int(g.cols[int(c.c0)+int(lj)])
+			s.pos[lj] = int32(colOff + q)
 		}
-		for q, bc := range lb.co {
-			fp.ColMap[colOff+q] = b.Cols[bc]
-		}
-		for p, br := range lb.ro {
-			row := b.M.Row(br)
-			for q, bc := range lb.co {
-				if row.Get(bc) {
-					fp.Canonical.Set(rowOff+p, colOff+q, true)
-				}
+		for p, li := range ro {
+			fp.RowMap[rowOff+p] = int(g.rows[int(c.r0)+int(li)])
+			row := canon.bits[(rowOff+p)*canon.wpr : (rowOff+p+1)*canon.wpr]
+			for _, lj := range g.rowNeighbors(c, int(li)) {
+				j := s.pos[lj]
+				row[j/wordBits] |= 1 << (uint(j) % wordBits)
 			}
 		}
-		rowOff += b.M.Rows()
-		colOff += b.M.Cols()
+		rowOff += nr
+		colOff += nc
 	}
 	return fp
 }
 
-// writeUvarint writes x varint-encoded through w (a hash writer; error-free).
-func writeUvarint(w func([]byte) (int, error), scratch []byte, x uint64) {
-	n := binary.PutUvarint(scratch, x)
-	w(scratch[:n])
+// hexSum returns the hex SHA-256 of b.
+func hexSum(b []byte) string {
+	sum := sha256.Sum256(b)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }
 
-// writeMatrix streams a self-delimiting serialization of m (dims + row bits).
-func writeMatrix(w func([]byte) (int, error), m *Matrix) {
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint(w, scratch[:], uint64(m.Rows()))
-	writeUvarint(w, scratch[:], uint64(m.Cols()))
-	for i := 0; i < m.Rows(); i++ {
-		w([]byte(m.Row(i).Key()))
+func uvarintLen(x int) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], uint64(x))
+}
+
+// wlLevel is one depth of the labeling search: the row colours followed by
+// the column colours of the component at that depth, and the members of the
+// cell it branches on.
+type wlLevel struct {
+	colors  []uint64
+	members []int32
+}
+
+// level returns the search buffers for depth d sized for n vertices.
+func (s *scratch) level(d, n int) *wlLevel {
+	for len(s.levels) <= d {
+		s.levels = append(s.levels, new(wlLevel))
 	}
+	lv := s.levels[d]
+	lv.colors = resize(lv.colors, n)
+	return lv
 }
 
-// labeler computes a canonical labeling of one connected block by color
+// labeler computes a canonical labeling of one connected component by colour
 // refinement (1-dimensional Weisfeiler–Leman on the bipartite row–column
-// graph) with individuation branching on ties. The returned labeling is
-// invariant under row/column permutation: colors are hashes of
-// permutation-invariant structure only, cells are ordered by color value, and
-// ties branch over every cell member keeping the lexicographically smallest
-// serialized matrix, so the result depends on the isomorphism class alone.
+// graph) with individualization branching on ties. The labeling is
+// invariant under row/column permutation: colours are hashes of
+// permutation-invariant structure only, cells are ordered by colour value,
+// and ties branch over every cell member keeping the lexicographically
+// smallest serialized matrix, so the result depends on the isomorphism class
+// alone.
 type labeler struct {
-	m, mt  *Matrix
+	s      *scratch
+	g      *graph
+	c      component
+	nr, nc int
 	budget *int
+	ser    []byte // best serialization so far, inside s.ser
+	found  bool
 }
 
-// canonicalLabel returns rowOrder/colOrder (canonical position → block index)
-// and the canonical serialization of m, or ok=false when the shared budget is
-// exhausted.
-func canonicalLabel(m *Matrix, budget *int) (ser []byte, rowOrder, colOrder []int, ok bool) {
-	l := &labeler{m: m, mt: m.Transpose(), budget: budget}
-	rc := make([]uint64, m.Rows())
-	cc := make([]uint64, m.Cols())
-	for i := range rc {
-		rc[i] = mix64(0xa5a5_1157_0000_0001, uint64(m.Row(i).Ones()))
+// labelComponent labels component k of g: it writes the canonical row and
+// column orders (canonical position → local index) to s.rowOrder[r0:r1] and
+// s.colOrder[c0:c1] and the serialization to s.ser[s.serOff[k]:s.serOff[k+1]],
+// or reports false when the shared budget is exhausted.
+func (s *scratch) labelComponent(g *graph, k int, budget *int) bool {
+	c := g.comps[k]
+	nr, nc := c.dims()
+	l := labeler{
+		s: s, g: g, c: c, nr: nr, nc: nc, budget: budget,
+		ser: s.ser[s.serOff[k]:s.serOff[k+1]],
 	}
-	for j := range cc {
-		cc[j] = mix64(0xc3c3_2291_0000_0002, uint64(l.mt.Row(j).Ones()))
+	n := nr + nc
+	s.next = resize(s.next, n)
+	s.sorted = resize(s.sorted, n)
+	s.neigh = resize(s.neigh, max(nr, nc))
+	s.pos = resize(s.pos, nc)
+	s.leafRows = resize(s.leafRows, nr)
+	s.leafCols = resize(s.leafCols, nc)
+	s.leafSer = resize(s.leafSer, len(l.ser))
+	colors := s.level(0, n).colors
+	for li := 0; li < nr; li++ {
+		colors[li] = mix64(0xa5a5_1157_0000_0001, uint64(len(g.rowNeighbors(c, li))))
 	}
-	return l.canonical(rc, cc)
+	for lj := 0; lj < nc; lj++ {
+		colors[nr+lj] = mix64(0xc3c3_2291_0000_0002, uint64(len(g.colNeighbors(c, lj))))
+	}
+	return l.search(0)
 }
 
-func (l *labeler) canonical(rc, cc []uint64) (ser []byte, rowOrder, colOrder []int, ok bool) {
+// search refines the colouring at depth d and either records a leaf (a
+// discrete colouring) or branches on the chosen cell. The search keeps the
+// first leaf in depth-first order with the smallest serialization, which is
+// the minimum over every branch of every cell.
+func (l *labeler) search(d int) bool {
 	*l.budget--
 	if *l.budget < 0 {
-		return nil, nil, nil, false
+		return false
 	}
-	l.refine(rc, cc)
-
-	isRow, members := chooseCell(rc, cc)
-	if members == nil {
-		// Discrete partition: order rows and columns by color value.
-		rowOrder = argsortByColor(rc)
-		colOrder = argsortByColor(cc)
-		return l.serialize(rowOrder, colOrder), rowOrder, colOrder, true
+	s := l.s
+	colors := s.levels[d].colors
+	rc, cc := colors[:l.nr], colors[l.nr:]
+	rowCells, colCells := l.refine(rc, cc)
+	if rowCells == l.nr && colCells == l.nc {
+		l.leaf(rc, cc)
+		return true
 	}
-	// Branch: individuate each member of the target cell in turn and keep the
-	// lexicographically smallest canonical form. Iterating members in block
-	// index order is safe — every member is tried, so the minimum over the
-	// branch set is order-independent.
+	isRow, color := l.chooseCell()
+	// Branch: individualize each member of the target cell in turn.
+	// Iterating members in index order is safe — every member is tried, so
+	// the minimum over the branch set is order-independent.
+	off, src := 0, rc
+	if !isRow {
+		off, src = l.nr, cc
+	}
+	lv := s.levels[d]
+	members := lv.members[:0]
+	for v, x := range src {
+		if x == color {
+			members = append(members, int32(off+v))
+		}
+	}
+	lv.members = members
+	child := s.level(d+1, len(colors)).colors
 	for _, v := range members {
-		rc2 := append([]uint64(nil), rc...)
-		cc2 := append([]uint64(nil), cc...)
-		if isRow {
-			rc2[v] = mix64(rc2[v], 0x517e_0000_0000_0003)
-		} else {
-			cc2[v] = mix64(cc2[v], 0x517e_0000_0000_0003)
-		}
-		s, ro, co, bok := l.canonical(rc2, cc2)
-		if !bok {
-			return nil, nil, nil, false
-		}
-		if ser == nil || bytes.Compare(s, ser) < 0 {
-			ser, rowOrder, colOrder = s, ro, co
+		copy(child, colors)
+		child[v] = mix64(child[v], 0x517e_0000_0000_0003)
+		if !l.search(d + 1) {
+			return false
 		}
 	}
-	return ser, rowOrder, colOrder, true
+	return true
 }
 
-// refine runs color refinement to a fixpoint: a row's new color folds in the
-// sorted multiset of its 1-columns' colors and vice versa. The distinct-color
-// count is monotone nondecreasing and bounded, so the loop terminates.
-func (l *labeler) refine(rc, cc []uint64) {
-	last := countColors(rc) + countColors(cc)
-	maxIter := len(rc) + len(cc) + 2
-	neigh := make([]uint64, 0, 64)
-	for iter := 0; iter < maxIter; iter++ {
-		nrc := make([]uint64, len(rc))
-		for i := range rc {
-			neigh = neigh[:0]
-			l.m.Row(i).ForEachOne(func(j int) { neigh = append(neigh, cc[j]) })
-			nrc[i] = foldColors(rc[i], neigh)
+// refine runs colour refinement to a fixpoint: a row's new colour folds in
+// the sorted multiset of its 1-columns' colours and vice versa. The
+// distinct-colour count is monotone nondecreasing and bounded, so the loop
+// terminates. It returns the numbers of distinct row and column colours and
+// leaves both colour lists sorted in s.sorted.
+func (l *labeler) refine(rc, cc []uint64) (rowCells, colCells int) {
+	s, g, c := l.s, l.g, l.c
+	rowCells, colCells = l.countCells(rc, cc)
+	last := rowCells + colCells
+	nrc, ncc := s.next[:l.nr], s.next[l.nr:]
+	for iter := 0; iter < l.nr+l.nc+2; iter++ {
+		for li := range rc {
+			neigh := s.neigh[:0]
+			for _, lj := range g.rowNeighbors(c, li) {
+				neigh = append(neigh, cc[lj])
+			}
+			nrc[li] = foldColors(rc[li], neigh)
 		}
-		ncc := make([]uint64, len(cc))
-		for j := range cc {
-			neigh = neigh[:0]
-			l.mt.Row(j).ForEachOne(func(i int) { neigh = append(neigh, nrc[i]) })
-			ncc[j] = foldColors(cc[j], neigh)
+		for lj := range cc {
+			neigh := s.neigh[:0]
+			for _, li := range g.colNeighbors(c, lj) {
+				neigh = append(neigh, nrc[li])
+			}
+			ncc[lj] = foldColors(cc[lj], neigh)
 		}
 		copy(rc, nrc)
 		copy(cc, ncc)
-		now := countColors(rc) + countColors(cc)
-		if now == last {
-			return
+		rowCells, colCells = l.countCells(rc, cc)
+		if rowCells+colCells == last {
+			break
 		}
-		last = now
+		last = rowCells + colCells
 	}
+	return rowCells, colCells
 }
 
-// serialize packs the matrix bits in canonical order, preceded by the
-// dimensions, so serializations are self-delimiting and comparable.
-func (l *labeler) serialize(rowOrder, colOrder []int) []byte {
-	rows, cols := len(rowOrder), len(colOrder)
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint(buf.Write, scratch[:], uint64(rows))
-	writeUvarint(buf.Write, scratch[:], uint64(cols))
-	var acc byte
-	nbits := 0
-	for _, i := range rowOrder {
-		row := l.m.Row(i)
-		for _, j := range colOrder {
-			acc <<= 1
-			if row.Get(j) {
-				acc |= 1
-			}
-			nbits++
-			if nbits == 8 {
-				buf.WriteByte(acc)
-				acc, nbits = 0, 0
-			}
-		}
-	}
-	if nbits > 0 {
-		buf.WriteByte(acc << (8 - nbits))
-	}
-	return buf.Bytes()
+// countCells sorts copies of the row and column colours into s.sorted and
+// counts the distinct values of each.
+func (l *labeler) countCells(rc, cc []uint64) (rowCells, colCells int) {
+	sr, sc := l.s.sorted[:l.nr], l.s.sorted[l.nr:]
+	copy(sr, rc)
+	copy(sc, cc)
+	slices.Sort(sr)
+	slices.Sort(sc)
+	return distinctSorted(sr), distinctSorted(sc)
 }
 
-// chooseCell picks the branching cell: the smallest color class with more
-// than one member, ties broken by smaller color value, rows before columns.
-// The rule depends only on color values and class sizes, both
-// permutation-invariant. members == nil means the partition is discrete.
-func chooseCell(rc, cc []uint64) (isRow bool, members []int) {
+func distinctSorted(x []uint64) int {
+	n := 0
+	for i := range x {
+		if i == 0 || x[i] != x[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// chooseCell picks the branching cell from the sorted colours: the smallest
+// colour class with more than one member, ties broken by smaller colour
+// value, rows before columns. The rule depends only on colour values and
+// class sizes, both permutation-invariant.
+func (l *labeler) chooseCell() (isRow bool, color uint64) {
 	bestSize := -1
-	var bestColor uint64
-	consider := func(row bool, color uint64, cell []int) {
-		if len(cell) < 2 {
-			return
+	consider := func(row bool, sorted []uint64) {
+		for i := 0; i < len(sorted); {
+			j := i + 1
+			for j < len(sorted) && sorted[j] == sorted[i] {
+				j++
+			}
+			if size, c := j-i, sorted[i]; size >= 2 && (bestSize == -1 || size < bestSize ||
+				(size == bestSize && (c < color || (c == color && row && !isRow)))) {
+				bestSize, color, isRow = size, c, row
+			}
+			i = j
 		}
-		if bestSize == -1 || len(cell) < bestSize ||
-			(len(cell) == bestSize && (color < bestColor || (color == bestColor && row && !isRow))) {
-			bestSize, bestColor, isRow, members = len(cell), color, row, cell
+	}
+	consider(true, l.s.sorted[:l.nr])
+	consider(false, l.s.sorted[l.nr:])
+	return isRow, color
+}
+
+// leaf orders rows and columns by their (pairwise distinct) colours,
+// serializes the component in that order and keeps it if it is the smallest
+// serialization so far. The serialization is the dimensions as uvarints,
+// then the bits in canonical row-major order packed most significant bit
+// first, so serializations are self-delimiting and comparable.
+func (l *labeler) leaf(rc, cc []uint64) {
+	s, g, c := l.s, l.g, l.c
+	sr, sc := s.sorted[:l.nr], s.sorted[l.nr:]
+	for li, x := range rc {
+		p, _ := slices.BinarySearch(sr, x)
+		s.leafRows[p] = int32(li)
+	}
+	for lj, x := range cc {
+		q, _ := slices.BinarySearch(sc, x)
+		s.leafCols[q] = int32(lj)
+		s.pos[lj] = int32(q)
+	}
+	b := binary.AppendUvarint(s.leafSer[:0], uint64(l.nr))
+	b = binary.AppendUvarint(b, uint64(l.nc))
+	bitsAt := b[len(b):len(l.ser)]
+	clear(bitsAt)
+	for p, li := range s.leafRows {
+		for _, lj := range g.rowNeighbors(c, int(li)) {
+			k := p*l.nc + int(s.pos[lj])
+			bitsAt[k/8] |= 0x80 >> (k % 8)
 		}
 	}
-	for color, cell := range colorCells(rc) {
-		consider(true, color, cell)
+	b = b[:len(l.ser)]
+	if l.found && bytes.Compare(b, l.ser) >= 0 {
+		return
 	}
-	for color, cell := range colorCells(cc) {
-		consider(false, color, cell)
-	}
-	return isRow, members
-}
-
-// colorCells groups indices by color value, members in ascending index order.
-func colorCells(colors []uint64) map[uint64][]int {
-	cells := make(map[uint64][]int)
-	for i, c := range colors {
-		cells[c] = append(cells[c], i)
-	}
-	return cells
-}
-
-// argsortByColor returns indices ordered by ascending color value. Intended
-// for discrete partitions, where colors are pairwise distinct.
-func argsortByColor(colors []uint64) []int {
-	order := make([]int, len(colors))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return colors[order[a]] < colors[order[b]] })
-	return order
-}
-
-func countColors(colors []uint64) int {
-	seen := make(map[uint64]struct{}, len(colors))
-	for _, c := range colors {
-		seen[c] = struct{}{}
-	}
-	return len(seen)
+	l.found = true
+	copy(l.ser, b)
+	copy(s.rowOrder[c.r0:c.r1], s.leafRows)
+	copy(s.colOrder[c.c0:c.c1], s.leafCols)
 }
 
 // foldColors hashes a base color with a sorted multiset of neighbour colors.
-// sort.Slice makes the fold independent of neighbour enumeration order, so
-// the result is an isomorphism invariant.
+// Sorting makes the fold independent of neighbour enumeration order, so the
+// result is an isomorphism invariant.
 func foldColors(base uint64, neigh []uint64) uint64 {
-	sort.Slice(neigh, func(a, b int) bool { return neigh[a] < neigh[b] })
+	slices.Sort(neigh)
 	h := mix64(0x9e3779b97f4a7c15, base)
 	for _, c := range neigh {
 		h = mix64(h, c)

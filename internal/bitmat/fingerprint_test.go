@@ -2,6 +2,7 @@ package bitmat
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -12,6 +13,9 @@ func permuteMatrix(m *Matrix, rowPerm, colPerm []int) *Matrix {
 	m.ForEachOne(func(i, j int) { out.Set(rowPerm[i], colPerm[j], true) })
 	return out
 }
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
 
 func randPerm(rng *rand.Rand, n int) []int {
 	return rng.Perm(n)
@@ -242,4 +246,72 @@ func FuzzFingerprintInvariance(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKernelAllocs pins the allocation counts of the warm-path kernels, which
+// allocate only what they return: Parse the matrix header and words;
+// Compress the record, the reduced matrix (header and words) and each group
+// list (outer slice and one shared backing array); Decompose the record, the
+// block slice, one shared array each for the row lists, column lists, matrix
+// headers and matrix words; ComputeFingerprint the Compress outputs plus the
+// record, hash string, canonical matrix and both maps. Counts are exact, so
+// one extra allocation fails; sync.Pool drops items at random under the race
+// detector, so the pins run only without it.
+func TestKernelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sparse := Random(rand.New(rand.NewSource(100)), 100, 100, 0.012)
+	for _, tc := range []struct {
+		name string
+		m    *Matrix
+	}{{"fig1b", MustParse(fig1b)}, {"sparse100", sparse}} {
+		text := tc.m.String()
+		reduced := Compress(tc.m).Reduced
+		for _, k := range []struct {
+			kernel string
+			want   float64
+			fn     func()
+		}{
+			{"Parse", 2, func() { MustParse(text) }},
+			{"Compress", 7, func() { Compress(tc.m) }},
+			{"Decompose", 6, func() { Decompose(reduced) }},
+			{"ComputeFingerprint", 13, func() { ComputeFingerprint(tc.m) }},
+		} {
+			if got := testing.AllocsPerRun(200, k.fn); got != k.want {
+				t.Errorf("%s(%s): %v allocs per run, want %v", k.kernel, tc.name, got, k.want)
+			}
+		}
+	}
+}
+
+// TestKernelsConcurrent runs the pooled-scratch kernels from several
+// goroutines at once; each result must equal the one computed alone.
+func TestKernelsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ms := make([]*Matrix, 64)
+	want := make([]string, len(ms))
+	wantBlocks := make([]int, len(ms))
+	for i := range ms {
+		ms[i] = Random(rng, 1+rng.Intn(30), 1+rng.Intn(30), 0.05+0.5*rng.Float64())
+		want[i] = ComputeFingerprint(ms[i]).Hash
+		wantBlocks[i] = len(Decompose(ms[i]).Blocks)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range ms {
+				i := (k + 16*w) % len(ms)
+				if got := ComputeFingerprint(ms[i]).Hash; got != want[i] {
+					t.Errorf("matrix %d: concurrent hash %s, want %s", i, got, want[i])
+				}
+				if got := len(Decompose(ms[i]).Blocks); got != wantBlocks[i] {
+					t.Errorf("matrix %d: concurrent Decompose gave %d blocks, want %d", i, got, wantBlocks[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -496,17 +496,20 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 		name string
 		body string
 		want int
+		code string
 	}{
-		{"empty", `{}`, http.StatusBadRequest},
-		{"both forms", `{"matrix":"1","rows":[[1]]}`, http.StatusBadRequest},
-		{"bad chars", `{"matrix":"10\n2x"}`, http.StatusBadRequest},
-		{"ragged rows", `{"rows":[[1,0],[1]]}`, http.StatusBadRequest},
-		{"zero-dim empty rows", `{"rows":[]}`, http.StatusBadRequest},
-		{"zero-dim empty row", `{"rows":[[]]}`, http.StatusBadRequest},
-		{"non-binary rows", `{"rows":[[1,2]]}`, http.StatusBadRequest},
-		{"unknown field", `{"matrecks":"1"}`, http.StatusBadRequest},
-		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest},
-		{"not json", `hello`, http.StatusBadRequest},
+		{"empty", `{}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"both forms", `{"matrix":"1","rows":[[1]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"bad chars", `{"matrix":"10\n2x"}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"ragged rows", `{"rows":[[1,0],[1]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero-dim empty rows", `{"rows":[]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero-dim empty row", `{"rows":[[]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero-dim text", `{"matrix":","}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero-dim text multi", `{"matrix":" , \n , "}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"non-binary rows", `{"rows":[[1,2]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"unknown field", `{"matrecks":"1"}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest, wire.CodeBudgetExceeded},
+		{"not json", `hello`, http.StatusBadRequest, wire.CodeBadRequest},
 	}
 	for _, tc2 := range cases {
 		resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", strings.NewReader(tc2.body))
@@ -521,6 +524,9 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 		}
 		if err != nil || e.Error == "" {
 			t.Errorf("%s: body is not a structured wire error (%v)", tc2.name, err)
+		}
+		if e.Code != tc2.code {
+			t.Errorf("%s: code %q, want %q", tc2.name, e.Code, tc2.code)
 		}
 	}
 	// None of these must have touched a backend.

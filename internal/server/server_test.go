@@ -140,19 +140,22 @@ func TestSolveBadRequests(t *testing.T) {
 		name string
 		body string
 		want int
+		code string
 	}{
-		{"empty", `{}`, http.StatusBadRequest},
-		{"both forms", `{"matrix":"1","rows":[[1]]}`, http.StatusBadRequest},
-		{"bad chars", `{"matrix":"10\n2x"}`, http.StatusBadRequest},
-		{"ragged rows", `{"rows":[[1,0],[1]]}`, http.StatusBadRequest},
-		{"zero rows", `{"rows":[]}`, http.StatusBadRequest},
-		{"zero cols", `{"rows":[[]]}`, http.StatusBadRequest},
-		{"zero cols multi", `{"rows":[[],[]]}`, http.StatusBadRequest},
-		{"non-binary rows", `{"rows":[[1,2]]}`, http.StatusBadRequest},
-		{"unknown field", `{"matrecks":"1"}`, http.StatusBadRequest},
-		{"bad encoding", `{"matrix":"1","options":{"encoding":"cnf3"}}`, http.StatusBadRequest},
-		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest},
-		{"not json", `hello`, http.StatusBadRequest},
+		{"empty", `{}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"both forms", `{"matrix":"1","rows":[[1]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"bad chars", `{"matrix":"10\n2x"}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"ragged rows", `{"rows":[[1,0],[1]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero rows", `{"rows":[]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero cols", `{"rows":[[]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero cols multi", `{"rows":[[],[]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero cols text", `{"matrix":","}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"zero cols text multi", `{"matrix":" , \n , "}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"non-binary rows", `{"rows":[[1,2]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
+		{"unknown field", `{"matrecks":"1"}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"bad encoding", `{"matrix":"1","options":{"encoding":"cnf3"}}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest, wire.CodeBudgetExceeded},
+		{"not json", `hello`, http.StatusBadRequest, wire.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
@@ -170,6 +173,9 @@ func TestSolveBadRequests(t *testing.T) {
 		// not a bare status.
 		if decErr != nil || e.Error == "" {
 			t.Errorf("%s: body is not a structured wire error (%v)", tc.name, decErr)
+		}
+		if e.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.name, e.Code, tc.code)
 		}
 	}
 }

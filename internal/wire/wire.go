@@ -118,7 +118,16 @@ func (r *SolveRequest) ParseMatrix() (*bitmat.Matrix, error) {
 	case r.Matrix != "" && r.Rows != nil:
 		return nil, errors.New("wire: request sets both \"matrix\" and \"rows\"")
 	case r.Matrix != "":
-		return bitmat.Parse(r.Matrix)
+		m, err := bitmat.Parse(r.Matrix)
+		if err != nil {
+			return nil, err
+		}
+		// Lines of separators alone (",") parse to zero columns; reject
+		// them like zero-dimension "rows".
+		if m.Cols() == 0 {
+			return nil, errors.New("wire: zero-dimension \"matrix\"")
+		}
+		return m, nil
 	case r.Rows != nil:
 		if len(r.Rows) == 0 || len(r.Rows[0]) == 0 {
 			return nil, errors.New("wire: zero-dimension \"rows\"")

@@ -174,6 +174,8 @@ func TestParseMatrixForms(t *testing.T) {
 		{"non-binary", SolveRequest{Rows: [][]int{{1, 2}}}, true, 0, 0},
 		{"zero rows", SolveRequest{Rows: [][]int{}}, true, 0, 0},
 		{"zero cols", SolveRequest{Rows: [][]int{{}, {}}}, true, 0, 0},
+		{"zero cols text", SolveRequest{Matrix: ","}, true, 0, 0},
+		{"zero cols text multi", SolveRequest{Matrix: " , \n , "}, true, 0, 0},
 		{"bad chars", SolveRequest{Matrix: "10\n2x"}, true, 0, 0},
 		{"empty matrix string ragged", SolveRequest{Matrix: "10\n1"}, true, 0, 0},
 	}

@@ -4,19 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sync"
-	"time"
 )
 
-// The job journal: the async job surface's crash log, built on the same
-// checksummed WAL framing as the result store. Where the result store holds
-// facts (proved-optimal results, immutable forever), the journal holds
-// intentions: "this submission was accepted and must reach a terminal
-// state", "this terminal snapshot must be delivered to its callback URL".
+// The job journal: the async job surface's crash log, run on the same log
+// engine as the result store. Where the result store holds facts
+// (proved-optimal results, immutable forever), the journal holds intentions:
+// "this submission was accepted and must reach a terminal state", "this
+// terminal snapshot must be delivered to its callback URL".
 //
 // Per job the journal sees at most three records, appended in order:
 //
@@ -125,8 +119,9 @@ type JournalStats struct {
 	// Undelivered the number of terminal jobs whose webhook is unacked.
 	Pending     int `json:"pending"`
 	Undelivered int `json:"undelivered"`
-	// Loaded counts records replayed on open; SkippedCorrupt and
-	// TruncatedBytes mirror the result store's recovery counters.
+	// Loaded counts records replayed on open, from the snapshot and the WAL
+	// together; SkippedCorrupt and TruncatedBytes mirror the result store's
+	// recovery counters.
 	Loaded         int64 `json:"loaded"`
 	SkippedCorrupt int64 `json:"skipped_corrupt"`
 	TruncatedBytes int64 `json:"truncated_bytes"`
@@ -134,10 +129,15 @@ type JournalStats struct {
 	// failures (the record's effect stays in memory for this process).
 	Appends      int64 `json:"appends"`
 	AppendErrors int64 `json:"append_errors"`
-	// Bytes is the journal file's current length; Compactions counts
-	// rewrites.
+	// Bytes is the snapshot's length plus the WAL's; Compactions counts
+	// snapshot rotations.
 	Bytes       int64 `json:"bytes"`
 	Compactions int64 `json:"compactions"`
+	// Flushes counts fsyncs; FlushNS their cumulative latency and
+	// LastFlushNS the most recent one's.
+	Flushes     int64 `json:"flushes"`
+	FlushNS     int64 `json:"flush_ns"`
+	LastFlushNS int64 `json:"last_flush_ns"`
 }
 
 // JournalReplay is what a restarted server learns from the journal.
@@ -152,26 +152,20 @@ type JournalReplay struct {
 	Undelivered []*JobRecord
 }
 
-// journalName is the journal file inside its directory.
-const journalName = "jobs.log"
+// Journal file names inside its directory. jobs.log is the WAL, so a
+// directory written before the journal had a snapshot replays unchanged.
+const (
+	journalName     = "jobs.log"
+	journalSnapName = "jobs.snapshot.log"
+	journalTempName = "jobs.snapshot.tmp"
+)
 
 // Journal is the durable job log. Safe for concurrent use. Create with
 // OpenJournal; always Close (it performs the final flush).
 type Journal struct {
-	dir  string
-	opts Options
-
-	mu      sync.Mutex
+	logEngine
 	entries map[string]*journalEntry
 	order   []string // first-seen job order, for deterministic compaction
-	f       File     // nil after Close or an unrecoverable write failure
-	bytes   int64
-	dirty   bool
-	closed  bool
-	stats   JournalStats
-
-	flusherStop chan struct{}
-	flusherDone chan struct{}
 }
 
 // OpenJournal loads the job journal from dir (creating it if needed),
@@ -179,64 +173,24 @@ type Journal struct {
 // journal ready for appends. Read the recovered work with Replay before
 // appending new records.
 func OpenJournal(dir string, opts Options) (*Journal, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create journal dir: %w", err)
-	}
-	j := &Journal{
-		dir:     dir,
-		opts:    opts,
-		entries: make(map[string]*journalEntry),
-	}
-
-	path := filepath.Join(dir, journalName)
-	data, err := opts.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: read journal: %w", err)
-	}
-	scan := scanFrames(data, opts.MaxRecordBytes, func(payload []byte) bool {
-		rec := new(JobRecord)
-		if err := json.Unmarshal(payload, rec); err != nil || rec.Validate() != nil {
-			return false
-		}
-		j.applyLocked(rec)
-		j.stats.Loaded++
-		return true
+	j := &Journal{entries: make(map[string]*journalEntry)}
+	err := j.open(dir, opts, logPolicy{
+		wal: journalName, snapshot: journalSnapName, temp: journalTempName,
+		errClosed: ErrJournalClose,
+		decode:    decodeInto(j.applyLocked),
+		live:      j.live,
 	})
-	j.stats.SkippedCorrupt = scan.skippedRecords
-	j.stats.TruncatedBytes = scan.skippedBytes + scan.tornBytes
-
-	f, err := opts.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: open journal: %w", err)
-	}
-	if err := f.Truncate(scan.validEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: truncate torn journal tail: %w", err)
-	}
-	if _, err := seekEnd(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek journal: %w", err)
-	}
-	j.f = f
-	j.bytes = scan.validEnd
-
-	if j.stats.SkippedCorrupt > 0 || j.stats.TruncatedBytes > 0 {
-		opts.Logger.Printf("journal: recovered %d records, skipped %d corrupt, discarded %d bytes",
-			j.stats.Loaded, j.stats.SkippedCorrupt, j.stats.TruncatedBytes)
+		return nil, err
 	}
 	// Boot-time compaction drops settled jobs so the journal stays
 	// proportional to outstanding work, not lifetime traffic.
-	if len(data) > 0 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.walBytes > 0 {
 		if err := j.compactLocked(); err != nil {
-			opts.Logger.Printf("journal: boot compaction failed: %v", err)
+			j.opts.Logger.Printf("store: journal boot compaction failed: %v", err)
 		}
-	}
-
-	if opts.Sync == SyncInterval {
-		j.flusherStop = make(chan struct{})
-		j.flusherDone = make(chan struct{})
-		go j.flusher()
 	}
 	return j, nil
 }
@@ -288,207 +242,55 @@ func (j *Journal) Replay() JournalReplay {
 // memory — the running process keeps working; only restart durability is
 // degraded (matching the result store's contract).
 func (j *Journal) Append(rec *JobRecord) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode journal record: %w", err)
-	}
-	frame := appendFrame(nil, payload)
-	if len(frame) > j.opts.MaxRecordBytes {
-		return fmt.Errorf("store: journal record %s exceeds MaxRecordBytes", rec.ID)
-	}
+	return j.appendRecord(rec, func() bool {
+		j.applyLocked(rec)
+		return true
+	})
+}
 
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrJournalClose
-	}
-	j.applyLocked(rec)
-	if j.f == nil {
-		j.stats.AppendErrors++
-		return errors.New("store: journal unavailable")
-	}
-	n, err := j.f.Write(frame)
-	if err != nil || n != len(frame) {
-		j.stats.AppendErrors++
-		if terr := j.f.Truncate(j.bytes); terr == nil {
-			if _, serr := seekEnd(j.f); serr != nil {
-				j.f = nil
-			}
+// live drops settled jobs from memory and writes the rest: the submit
+// record of every unfinished job, plus submit and terminal of every job
+// with an undelivered webhook. Dropped entries count toward neither Replay
+// nor Stats, so a compaction that then fails changes nothing visible.
+func (j *Journal) live(emit func(any) error) error {
+	kept := j.order[:0]
+	for _, id := range j.order {
+		if e := j.entries[id]; e.settled() || (e.submit == nil && e.terminal == nil) {
+			delete(j.entries, id)
 		} else {
-			j.f = nil
-		}
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		j.opts.Logger.Printf("journal: append %s/%s failed: %v", rec.Kind, rec.ID, err)
-		return fmt.Errorf("store: journal append: %w", err)
-	}
-	j.bytes += int64(n)
-	j.dirty = true
-	j.stats.Appends++
-	if j.opts.Sync == SyncAlways {
-		if err := j.syncLocked(); err != nil {
-			return fmt.Errorf("store: journal fsync: %w", err)
+			kept = append(kept, id)
 		}
 	}
-	if j.opts.CompactAfterBytes > 0 && j.bytes > j.opts.CompactAfterBytes {
-		if err := j.compactLocked(); err != nil {
-			j.opts.Logger.Printf("journal: auto-compaction failed: %v", err)
-		}
-	}
-	return nil
-}
-
-// Compact rewrites the journal keeping only unsettled jobs: the submit
-// record of every unfinished job, plus submit+terminal of every job with an
-// undelivered webhook. Rotation is atomic (temp + fsync + rename + dir
-// fsync), so a crash at any point leaves a journal that replays to the same
-// outstanding set.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrJournalClose
-	}
-	return j.compactLocked()
-}
-
-func (j *Journal) compactLocked() error {
-	tmpPath := filepath.Join(j.dir, journalName+".tmp")
-	tmp, err := j.opts.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open journal temp: %w", err)
-	}
-	var keptIDs []string
-	kept := make(map[string]*journalEntry, len(j.entries))
-	var bytes int64
-	write := func(rec *JobRecord) error {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		frame := appendFrame(nil, payload)
-		n, err := tmp.Write(frame)
-		if err != nil || n != len(frame) {
-			if err == nil {
-				err = io.ErrShortWrite
-			}
-			return err
-		}
-		bytes += int64(n)
-		return nil
-	}
+	j.order = kept
 	for _, id := range j.order {
 		e := j.entries[id]
-		if e.settled() || (e.submit == nil && e.terminal == nil) {
-			continue
-		}
-		if e.submit != nil {
-			if err := write(e.submit); err != nil {
-				tmp.Close()
-				os.Remove(tmpPath)
-				return fmt.Errorf("store: write journal: %w", err)
+		for _, rec := range [2]*JobRecord{e.submit, e.terminal} {
+			if rec != nil {
+				if err := emit(rec); err != nil {
+					return err
+				}
 			}
 		}
-		if e.terminal != nil {
-			if err := write(e.terminal); err != nil {
-				tmp.Close()
-				os.Remove(tmpPath)
-				return fmt.Errorf("store: write journal: %w", err)
-			}
-		}
-		keptIDs = append(keptIDs, id)
-		kept[id] = e
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: sync journal temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: close journal temp: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(j.dir, journalName)); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: rotate journal: %w", err)
-	}
-	syncDir(j.dir)
-
-	// The rename replaced the inode the old handle pointed at: reopen so
-	// future appends land in the new file.
-	if j.f != nil {
-		j.f.Close()
-	}
-	f, err := j.opts.OpenFile(filepath.Join(j.dir, journalName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		j.f = nil
-		return fmt.Errorf("store: reopen journal: %w", err)
-	}
-	if _, err := seekEnd(f); err != nil {
-		f.Close()
-		j.f = nil
-		return fmt.Errorf("store: seek journal: %w", err)
-	}
-	j.f = f
-	j.bytes = bytes
-	j.dirty = false
-	j.order = keptIDs
-	j.entries = kept
-	j.stats.Compactions++
 	return nil
-}
-
-// Flush fsyncs any unsynced appends.
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrJournalClose
-	}
-	return j.syncLocked()
-}
-
-func (j *Journal) syncLocked() error {
-	if !j.dirty || j.f == nil {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		j.opts.Logger.Printf("journal: fsync failed: %v", err)
-		return err
-	}
-	j.dirty = false
-	return nil
-}
-
-// flusher is the SyncInterval background loop.
-func (j *Journal) flusher() {
-	defer close(j.flusherDone)
-	t := time.NewTicker(j.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.flusherStop:
-			return
-		case <-t.C:
-			j.mu.Lock()
-			if !j.closed {
-				j.syncLocked()
-			}
-			j.mu.Unlock()
-		}
-	}
 }
 
 // Stats returns a snapshot of the journal's counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := j.stats
-	st.Bytes = j.bytes
+	st := JournalStats{
+		Loaded:         j.stats.LoadedSnapshot + j.stats.LoadedWAL,
+		SkippedCorrupt: j.stats.SkippedCorrupt,
+		TruncatedBytes: j.stats.TruncatedBytes,
+		Appends:        j.stats.Appends,
+		AppendErrors:   j.stats.AppendErrors,
+		Bytes:          j.stats.SnapshotBytes + j.walBytes,
+		Compactions:    j.stats.Compactions,
+		Flushes:        j.stats.Flushes,
+		FlushNS:        j.stats.FlushNS,
+		LastFlushNS:    j.stats.LastFlushNS,
+	}
 	for _, e := range j.entries {
 		switch {
 		case e.terminal == nil && e.submit != nil:
@@ -498,28 +300,4 @@ func (j *Journal) Stats() JournalStats {
 		}
 	}
 	return st
-}
-
-// Close flushes and closes the journal. Further operations return
-// ErrJournalClose.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return nil
-	}
-	j.closed = true
-	err := j.syncLocked()
-	if j.f != nil {
-		if cerr := j.f.Close(); err == nil {
-			err = cerr
-		}
-		j.f = nil
-	}
-	j.mu.Unlock()
-	if j.flusherStop != nil {
-		close(j.flusherStop)
-		<-j.flusherDone
-	}
-	return err
 }

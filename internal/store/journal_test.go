@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -309,5 +310,65 @@ func TestJournalClosedRejectsOperations(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
+	}
+}
+
+// TestJournalCompactsPerKiBAppended pins the compaction trigger to WAL bytes
+// appended since the last compaction. Outstanding jobs outgrowing the
+// threshold must not make every append rewrite the whole journal: 200
+// pending submits (about 22 KB) at 1 KiB compact about once per KiB.
+func TestJournalCompactsPerKiBAppended(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpenJournal(t, dir, Options{Sync: SyncNever, CompactAfterBytes: 1024})
+	for i := 0; i < 200; i++ {
+		mustAppend(t, j, submitRec(i, ""))
+	}
+	st := j.Stats()
+	if st.Compactions > 25 {
+		t.Fatalf("%d compactions for %d appends: %+v", st.Compactions, st.Appends, st)
+	}
+	if st.Pending != 200 {
+		t.Fatalf("pending = %d, want 200", st.Pending)
+	}
+	j.Close()
+	if got := pendingIDs(mustOpenJournal(t, dir, Options{}).Replay()); len(got) != 200 {
+		t.Fatalf("pending after reopen = %d jobs, want 200", len(got))
+	}
+}
+
+// TestJournalCrashBetweenRotateAndTruncate simulates the one non-atomic
+// window in compaction: the snapshot was renamed into place but the crash
+// landed before jobs.log was truncated, so jobs.log replays records the
+// snapshot already holds.
+func TestJournalCrashBetweenRotateAndTruncate(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpenJournal(t, dir, Options{Sync: SyncNever})
+	const hook = "http://hook.internal/cb"
+	for i := 0; i < 4; i++ {
+		mustAppend(t, j, submitRec(i, hook))
+	}
+	// 0 pending, 1 undelivered, 2 settled, 3 undelivered after a lost ack.
+	mustAppend(t, j, terminalRec(1, ""), terminalRec(2, hook), &JobRecord{Kind: JobWebhook, ID: "j-0002"},
+		terminalRec(3, hook))
+	want := j.Replay()
+	j.Close()
+	stale, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reopening compacts into jobs.snapshot.log; then put the stale WAL back.
+	mustOpenJournal(t, dir, Options{}).Close()
+	if err := os.WriteFile(filepath.Join(dir, journalName), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2 := mustOpenJournal(t, dir, Options{})
+	if got := j2.Replay(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay over a stale jobs.log = %+v, want %+v", got, want)
+	}
+	if len(want.Pending) != 1 || len(want.Undelivered) != 2 {
+		t.Fatalf("outstanding set before the crash: %+v", want)
+	}
+	if st := j2.Stats(); st.SkippedCorrupt != 0 {
+		t.Fatalf("duplicates counted as corruption: %+v", st)
 	}
 }

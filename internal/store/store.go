@@ -1,7 +1,8 @@
 // Package store is the durable tier beneath the solve caches: an
 // append-only, checksummed write-ahead log plus a periodically compacted
 // snapshot of proved-optimal canonical results, keyed by canonical
-// fingerprint.
+// fingerprint. The job journal (journal.go) runs on the same log engine
+// (engine.go) with its own records and compaction policy.
 //
 // The workload is ideal for an append-only design: results are
 // proved-optimal and budget-independent (an optimal depth is the binary
@@ -29,13 +30,10 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"log"
 	"os"
-	"path/filepath"
-	"sync"
 	"time"
 )
 
@@ -73,19 +71,17 @@ const (
 	snapTempName = "snapshot.tmp"
 )
 
-// Options tunes a Store. The zero value means "all defaults".
+// Options tunes a Store or a Journal. The zero value means "all defaults".
 type Options struct {
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
 	// SyncEvery is the background flush period under SyncInterval
 	// (default 100ms).
 	SyncEvery time.Duration
-	// CompactAfterBytes triggers a snapshot compaction when the WAL grows
-	// past this size (default 8 MiB; negative disables auto-compaction).
+	// CompactAfterBytes triggers a snapshot compaction once the WAL — the
+	// bytes appended since the last compaction — grows past this size
+	// (default 8 MiB; negative disables auto-compaction).
 	CompactAfterBytes int64
-	// MaxRecordBytes bounds one record's encoded size, both appended and
-	// recovered (default 16 MiB).
-	MaxRecordBytes int
 	// OpenFile opens the log files for writing (default os.OpenFile).
 	// Fault-injection hook: tests wrap it to fail writes and syncs.
 	OpenFile func(path string, flag int, perm fs.FileMode) (File, error)
@@ -102,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactAfterBytes == 0 {
 		o.CompactAfterBytes = 8 << 20
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
 	}
 	if o.OpenFile == nil {
 		o.OpenFile = func(path string, flag int, perm fs.FileMode) (File, error) {
@@ -158,20 +151,9 @@ type Stats struct {
 // Safe for concurrent use. Create with Open; always Close (it performs the
 // final flush).
 type Store struct {
-	dir  string
-	opts Options
-
-	mu       sync.Mutex
-	index    map[string]*Record
-	order    []string // insertion order, for deterministic compaction
-	wal      File     // nil after Close or an unrecoverable reopen failure
-	walBytes int64
-	dirty    bool // bytes written since the last fsync
-	closed   bool
-	stats    Stats
-
-	flusherStop chan struct{}
-	flusherDone chan struct{}
+	logEngine
+	index map[string]*Record
+	order []string // insertion order, for deterministic compaction
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -179,93 +161,27 @@ var ErrClosed = errors.New("store: closed")
 
 // Open loads the snapshot and WAL from dir (creating it if needed),
 // recovers what is recoverable, truncates any torn WAL tail, and returns a
-// store ready for appends.
+// store ready for appends. Replay is last-write-wins, so WAL records a
+// crash left behind a fresh snapshot load as harmless duplicates.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create dir: %w", err)
-	}
-	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		index: make(map[string]*Record),
-	}
-
-	// Replay snapshot first, then WAL: WAL records are newer (a crash
-	// between snapshot rotation and WAL truncation replays duplicates;
-	// last-write-wins keeps that harmless).
-	snapRes, snapLen, err := s.loadFile(filepath.Join(dir, snapshotName))
+	s := &Store{index: make(map[string]*Record)}
+	err := s.open(dir, opts, logPolicy{
+		wal: walName, snapshot: snapshotName, temp: snapTempName,
+		errClosed: ErrClosed,
+		decode:    decodeInto(s.insert),
+		live: func(emit func(any) error) error {
+			for _, hash := range s.order {
+				if err := emit(s.index[hash]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, rec := range snapRes.records {
-		s.insert(rec)
-	}
-	s.stats.LoadedSnapshot = int64(len(snapRes.records))
-	s.stats.SnapshotBytes = snapLen
-
-	walRes, _, err := s.loadFile(filepath.Join(dir, walName))
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range walRes.records {
-		s.insert(rec)
-	}
-	s.stats.LoadedWAL = int64(len(walRes.records))
-	s.stats.SkippedCorrupt = snapRes.skippedRecords + walRes.skippedRecords
-	s.stats.TruncatedBytes = snapRes.skippedBytes + snapRes.tornBytes +
-		walRes.skippedBytes + walRes.tornBytes
-
-	// Open the WAL for appending, truncated back to the last whole frame so
-	// new appends never land after garbage.
-	wal, err := opts.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open wal: %w", err)
-	}
-	if err := wal.Truncate(walRes.validEnd); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
-	}
-	if _, err := seekEnd(wal); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("store: seek wal: %w", err)
-	}
-	s.wal = wal
-	s.walBytes = walRes.validEnd
-
-	if s.stats.SkippedCorrupt > 0 || s.stats.TruncatedBytes > 0 {
-		opts.Logger.Printf("store: recovered %d records (%d snapshot, %d wal), skipped %d corrupt, discarded %d bytes",
-			len(s.index), s.stats.LoadedSnapshot, s.stats.LoadedWAL,
-			s.stats.SkippedCorrupt, s.stats.TruncatedBytes)
-	}
-
-	if opts.Sync == SyncInterval {
-		s.flusherStop = make(chan struct{})
-		s.flusherDone = make(chan struct{})
-		go s.flusher()
 	}
 	return s, nil
-}
-
-// seekEnd positions an appendable File at its end when it supports seeking
-// (fault-injection Files may not; they are expected to open at the end).
-func seekEnd(f File) (int64, error) {
-	if sk, ok := f.(io.Seeker); ok {
-		return sk.Seek(0, io.SeekEnd)
-	}
-	return 0, nil
-}
-
-// loadFile reads and parses one log file; a missing file is an empty log.
-func (s *Store) loadFile(path string) (parseResult, int64, error) {
-	data, err := s.opts.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return parseResult{}, 0, nil
-	}
-	if err != nil {
-		return parseResult{}, 0, fmt.Errorf("store: read %s: %w", filepath.Base(path), err)
-	}
-	return parseLog(data, s.opts.MaxRecordBytes), int64(len(data)), nil
 }
 
 // insert puts a record into the in-memory index (last write wins).
@@ -308,62 +224,13 @@ func (s *Store) Stats() Stats {
 // but leave the record queryable in memory — the current process keeps its
 // warm cache; only restart durability is degraded.
 func (s *Store) Put(rec *Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	frame, err := encodeRecord(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if len(frame) > s.opts.MaxRecordBytes {
-		return fmt.Errorf("store: record %s exceeds MaxRecordBytes", rec.Hash)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if _, ok := s.index[rec.Hash]; ok {
-		return nil
-	}
-	s.insert(rec)
-	if s.wal == nil {
-		s.stats.AppendErrors++
-		return errors.New("store: wal unavailable")
-	}
-	n, err := s.wal.Write(frame)
-	if err != nil || n != len(frame) {
-		// A partial frame may be on disk; recovery's torn-tail handling
-		// absorbs it. Try to cut it off now so the file stays clean.
-		s.stats.AppendErrors++
-		if terr := s.wal.Truncate(s.walBytes); terr == nil {
-			if _, serr := seekEnd(s.wal); serr != nil {
-				s.wal = nil
-			}
-		} else {
-			s.wal = nil // can't trust the offset anymore; stop appending
+	return s.appendRecord(rec, func() bool {
+		if _, ok := s.index[rec.Hash]; ok {
+			return false
 		}
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		s.opts.Logger.Printf("store: append %s failed: %v", rec.Hash, err)
-		return fmt.Errorf("store: append: %w", err)
-	}
-	s.walBytes += int64(n)
-	s.dirty = true
-	s.stats.Appends++
-	if s.opts.Sync == SyncAlways {
-		if err := s.syncLocked(); err != nil {
-			return fmt.Errorf("store: fsync: %w", err)
-		}
-	}
-	if s.opts.CompactAfterBytes > 0 && s.walBytes > s.opts.CompactAfterBytes {
-		if err := s.compactLocked(); err != nil {
-			s.opts.Logger.Printf("store: auto-compaction failed: %v", err)
-		}
-	}
-	return nil
+		s.insert(rec)
+		return true
+	})
 }
 
 // Delete drops a record from the in-memory index (collision insurance: a
@@ -385,155 +252,4 @@ func (s *Store) Delete(hash string) {
 		}
 	}
 	s.stats.Deletes++
-}
-
-// Flush fsyncs any unsynced appends.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.syncLocked()
-}
-
-// syncLocked fsyncs the WAL if dirty. Caller holds s.mu.
-func (s *Store) syncLocked() error {
-	if !s.dirty || s.wal == nil {
-		return nil
-	}
-	t0 := time.Now()
-	err := s.wal.Sync()
-	d := time.Since(t0).Nanoseconds()
-	s.stats.Flushes++
-	s.stats.FlushNS += d
-	s.stats.LastFlushNS = d
-	if err != nil {
-		s.opts.Logger.Printf("store: fsync failed: %v", err)
-		return err
-	}
-	s.dirty = false
-	return nil
-}
-
-// flusher is the SyncInterval background loop.
-func (s *Store) flusher() {
-	defer close(s.flusherDone)
-	t := time.NewTicker(s.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.flusherStop:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if !s.closed {
-				s.syncLocked()
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// Compact rewrites the full index as a fresh snapshot and truncates the
-// WAL. Rotation is atomic (temp + fsync + rename + dir fsync), so a crash
-// at any point leaves either the old snapshot plus the full WAL or the new
-// snapshot plus a possibly-stale WAL — both replay to the same index.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
-}
-
-func (s *Store) compactLocked() error {
-	tmpPath := filepath.Join(s.dir, snapTempName)
-	tmp, err := s.opts.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open snapshot temp: %w", err)
-	}
-	var snapBytes int64
-	for _, hash := range s.order {
-		frame, err := encodeRecord(s.index[hash])
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("store: encode %s: %w", hash, err)
-		}
-		n, err := tmp.Write(frame)
-		if err != nil || n != len(frame) {
-			tmp.Close()
-			os.Remove(tmpPath)
-			if err == nil {
-				err = io.ErrShortWrite
-			}
-			return fmt.Errorf("store: write snapshot: %w", err)
-		}
-		snapBytes += int64(n)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, snapshotName)); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: rotate snapshot: %w", err)
-	}
-	syncDir(s.dir)
-
-	// The snapshot now holds everything; restart the WAL. If truncation
-	// fails the WAL merely replays records the snapshot already has.
-	if s.wal != nil {
-		if err := s.wal.Truncate(0); err == nil {
-			if _, err := seekEnd(s.wal); err != nil {
-				s.wal = nil
-			} else {
-				s.walBytes = 0
-				s.dirty = false
-			}
-		}
-	}
-	s.stats.Compactions++
-	s.stats.SnapshotBytes = snapBytes
-	s.opts.Logger.Printf("store: compacted %d records into %d-byte snapshot", len(s.index), snapBytes)
-	return nil
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// Close flushes and closes the store. Further operations return ErrClosed.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	err := s.syncLocked()
-	if s.wal != nil {
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
-		s.wal = nil
-	}
-	s.mu.Unlock()
-	if s.flusherStop != nil {
-		close(s.flusherStop)
-		<-s.flusherDone
-	}
-	return err
 }

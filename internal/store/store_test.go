@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -359,38 +362,71 @@ func TestDeleteSurvivesCompaction(t *testing.T) {
 
 func TestSyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
-		s := mustOpen(t, t.TempDir(), Options{Sync: SyncAlways})
-		mustPut(t, s, testRecord(0), testRecord(1))
-		if st := s.Stats(); st.Flushes != 2 || st.LastFlushNS <= 0 {
-			t.Fatalf("SyncAlways stats: %+v", st)
-		}
+		forEachOwner(t, func(t *testing.T, o logOwner) {
+			l := o.mustOpen(t, t.TempDir(), Options{Sync: SyncAlways})
+			mustAdd(t, l, 0, 1)
+			if st := l.stats(); st.Flushes != 2 || st.LastFlushNS <= 0 {
+				t.Fatalf("SyncAlways stats: %+v", st)
+			}
+		})
 	})
 	t.Run("interval", func(t *testing.T) {
-		s := mustOpen(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
-		mustPut(t, s, testRecord(0))
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if s.Stats().Flushes > 0 {
-				return
+		forEachOwner(t, func(t *testing.T, o logOwner) {
+			l := o.mustOpen(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
+			mustAdd(t, l, 0)
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				if l.stats().Flushes > 0 {
+					return
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatal("interval flusher never synced")
+			t.Fatal("interval flusher never synced")
+		})
 	})
 	t.Run("never", func(t *testing.T) {
-		s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
-		mustPut(t, s, testRecord(0))
-		if st := s.Stats(); st.Flushes != 0 {
-			t.Fatalf("SyncNever flushed: %+v", st)
-		}
-		// Close always performs the final flush.
-		if err := s.Close(); err != nil {
+		forEachOwner(t, func(t *testing.T, o logOwner) {
+			l := o.mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+			mustAdd(t, l, 0)
+			if st := l.stats(); st.Flushes != 0 {
+				t.Fatalf("SyncNever flushed: %+v", st)
+			}
+			// Close always performs the final flush.
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := l.stats(); st.Flushes != 1 {
+				t.Fatalf("Close did not flush: %+v", st)
+			}
+		})
+	})
+}
+
+// TestStatsJSONKeys pins the /v1/metrics store and journal sections: loadbench
+// decodes these keys and the smoke scripts grep for them.
+func TestStatsJSONKeys(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want []string
+	}{
+		{Stats{}, []string{"append_errors", "appends", "compactions", "deletes", "flush_ns", "flushes",
+			"last_flush_ns", "loaded_snapshot", "loaded_wal", "records", "skipped_corrupt",
+			"snapshot_bytes", "truncated_bytes", "wal_bytes"}},
+		{JournalStats{}, []string{"append_errors", "appends", "bytes", "compactions", "flush_ns", "flushes",
+			"last_flush_ns", "loaded", "pending", "skipped_corrupt", "truncated_bytes", "undelivered"}},
+	} {
+		b, err := json.Marshal(tc.v)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if st := s.Stats(); st.Flushes != 1 {
-			t.Fatalf("Close did not flush: %+v", st)
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
 		}
-	})
+		if got := slices.Sorted(maps.Keys(m)); !slices.Equal(got, tc.want) {
+			t.Errorf("%T keys = %v, want %v", tc.v, got, tc.want)
+		}
+	}
 }
 
 func TestClosedStoreRejectsOperations(t *testing.T) {
@@ -436,26 +472,47 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// FuzzParseLog feeds arbitrary bytes to the replay path Open and
+// OpenJournal run on every log file, decoding them both as result records
+// and as journal records (folded, then read back through Replay).
 func FuzzParseLog(f *testing.F) {
-	// Seeds: a valid two-record log, a corrupted one, raw garbage.
-	rec0, _ := encodeRecord(testRecord(0))
-	rec1, _ := encodeRecord(testRecord(1))
+	// Seeds: a valid two-record log, a corrupted one, raw garbage, and a
+	// valid journal log.
+	rec0, _ := encodeFrame(testRecord(0))
+	rec1, _ := encodeFrame(testRecord(1))
 	valid := append(append([]byte{}, rec0...), rec1...)
 	f.Add(valid)
 	damaged := append([]byte{}, valid...)
 	damaged[frameHeader+3] ^= 0xFF
 	f.Add(damaged)
 	f.Add([]byte("not a log at all"))
+	var jobs []byte
+	for _, rec := range []*JobRecord{submitRec(0, "http://hook.internal/cb"), submitRec(1, ""),
+		terminalRec(0, ""), {Kind: JobWebhook, ID: "j-0001"}} {
+		frame, _ := encodeFrame(rec)
+		jobs = append(jobs, frame...)
+	}
+	f.Add(jobs)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res := parseLog(data, 1<<20)
-		// Whatever comes back must be fully valid and within bounds.
-		for _, rec := range res.records {
-			if err := rec.Validate(); err != nil {
-				t.Fatalf("parseLog returned invalid record: %v", err)
+		s := &Store{index: make(map[string]*Record)}
+		j := &Journal{entries: make(map[string]*journalEntry)}
+		for _, decode := range []func([]byte) bool{decodeInto(s.insert), decodeInto(j.applyLocked)} {
+			res := scanFrames(data, decode)
+			if res.validEnd > int64(len(data)) || res.validEnd < 0 {
+				t.Fatalf("validEnd %d out of range for %d bytes", res.validEnd, len(data))
 			}
 		}
-		if res.validEnd > int64(len(data)) || res.validEnd < 0 {
-			t.Fatalf("validEnd %d out of range for %d bytes", res.validEnd, len(data))
+		// Whatever comes back must be fully valid.
+		for _, rec := range s.index {
+			if err := rec.Validate(); err != nil {
+				t.Fatalf("replay returned invalid record: %v", err)
+			}
+		}
+		r := j.Replay()
+		for _, rec := range append(r.Pending, r.Undelivered...) {
+			if err := rec.Validate(); err != nil {
+				t.Fatalf("replay returned invalid job record: %v", err)
+			}
 		}
 	})
 }

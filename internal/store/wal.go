@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 )
 
@@ -13,15 +14,15 @@ import (
 //	magic   uint32  frame marker, also the resync anchor after corruption
 //	length  uint32  payload byte count
 //	crc     uint32  CRC-32C (Castagnoli) of the payload
-//	payload []byte  one JSON-encoded Record
+//	payload []byte  one JSON-encoded record (a Record or a JobRecord)
 //
 // All integers little-endian. Recovery tolerates two distinct failure
 // shapes:
 //
 //   - Torn/truncated tail: a crash mid-append leaves a partial frame at the
 //     end of the file. The parser stops at the first frame that runs past
-//     EOF, reports the byte count, and the store truncates the file back to
-//     the end of the last whole frame before appending again.
+//     EOF, reports the byte count, and Open truncates the WAL back to the
+//     end of the last whole frame before appending again.
 //   - Corrupt record: a flipped bit anywhere in a frame fails the CRC (or
 //     the magic/length sanity checks) and the parser scans forward for the
 //     next magic marker, skipping only the damaged frame. Records after the
@@ -33,28 +34,52 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame encodes one record as a frame onto buf.
-func appendFrame(buf []byte, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr[:]...), payload...)
-}
+// maxRecordBytes bounds one record's payload, both appended and recovered,
+// so a corrupt length field cannot make replay swallow the rest of a file
+// as one record.
+const maxRecordBytes = 16 << 20
 
-// encodeRecord marshals one record into its framed wire form.
-func encodeRecord(rec *Record) ([]byte, error) {
+// encodeFrame marshals one record into its framed log form.
+func encodeFrame(rec any) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: encode: %w", err)
 	}
-	return appendFrame(nil, payload), nil
+	if len(payload) > maxRecordBytes {
+		return nil, fmt.Errorf("store: %d-byte record exceeds the %d-byte limit", len(payload), maxRecordBytes)
+	}
+	frame := make([]byte, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], logMagic)
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.Checksum(payload, castagnoli))
+	copy(frame[frameHeader:], payload)
+	return frame, nil
 }
 
-// frameScan is one log replay's framing outcome, independent of the record
-// type carried in the payloads. Both the result store (Record) and the job
-// journal (JobRecord) recover through it.
+// decodeInto returns a replay decoder that unmarshals each payload into a
+// fresh record, validates it and hands it to apply. Validation gates
+// recovery exactly as it gates appends: a corrupt frame that happens to
+// checksum correctly still cannot smuggle in a record the owner would trip
+// over.
+func decodeInto[T any, P interface {
+	*T
+	Validate() error
+}](apply func(P)) func(payload []byte) bool {
+	return func(payload []byte) bool {
+		rec := P(new(T))
+		if json.Unmarshal(payload, rec) != nil || rec.Validate() != nil {
+			return false
+		}
+		apply(rec)
+		return true
+	}
+}
+
+// frameScan is one log file's replay outcome, independent of the record
+// type carried in the payloads.
 type frameScan struct {
+	// records counts frames decode accepted; size is the file's length.
+	records, size int64
 	// skippedRecords counts frames dropped for CRC/decode/validation
 	// failures; skippedBytes counts raw bytes consumed by resync scans.
 	skippedRecords int64
@@ -71,13 +96,11 @@ type frameScan struct {
 // scanFrames replays one log file's bytes, calling accept for each
 // whole, checksum-valid payload. It never fails: damage is skipped and
 // counted, and whatever whole valid frames exist are visited in file order.
-// maxRecord bounds a single frame's claimed payload so a corrupt length
-// field cannot make the parser swallow the rest of the file as one record.
 // accept returning false marks a well-framed but semantically invalid
 // record: it is counted as skipped, but — since the frame delimits itself
 // fine — the scan advances normally and validEnd still covers it.
-func scanFrames(data []byte, maxRecord int, accept func(payload []byte) bool) frameScan {
-	var out frameScan
+func scanFrames(data []byte, accept func(payload []byte) bool) frameScan {
+	out := frameScan{size: int64(len(data))}
 	var magicBytes [4]byte
 	binary.LittleEndian.PutUint32(magicBytes[:], logMagic)
 
@@ -108,7 +131,7 @@ func scanFrames(data []byte, maxRecord int, accept func(payload []byte) bool) fr
 			continue
 		}
 		length := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if length <= 0 || length > maxRecord {
+		if length <= 0 || length > maxRecordBytes {
 			// Corrupt length field; the frame cannot be trusted to delimit
 			// itself, so skip this marker and resync.
 			out.skippedRecords++
@@ -133,32 +156,13 @@ func scanFrames(data []byte, maxRecord int, accept func(payload []byte) bool) fr
 			resync(off + 1)
 			continue
 		}
-		if !accept(payload) {
+		if accept(payload) {
+			out.records++
+		} else {
 			out.skippedRecords++
 		}
 		off += frameHeader + length
 		out.validEnd = int64(off)
 	}
-	return out
-}
-
-// parseResult is the result store's log replay outcome: the frame scan plus
-// the decoded records.
-type parseResult struct {
-	frameScan
-	records []*Record
-}
-
-// parseLog replays one result-store log file's bytes into Records.
-func parseLog(data []byte, maxRecord int) parseResult {
-	var out parseResult
-	out.frameScan = scanFrames(data, maxRecord, func(payload []byte) bool {
-		rec := new(Record)
-		if err := json.Unmarshal(payload, rec); err != nil || rec.Validate() != nil {
-			return false
-		}
-		out.records = append(out.records, rec)
-		return true
-	})
 	return out
 }

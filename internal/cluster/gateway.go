@@ -26,7 +26,7 @@
 // *canonical* matrix (not the client's), so equivalent requests present
 // byte-identical bodies to the shard, and lifts the shard's canonical-space
 // partition back onto each client's matrix through the fingerprint maps
-// (solvecache.LiftCanonical), re-validating on the way — a routing or cache
+// (solvecache.LiftIndices), re-validating on the way — a routing or cache
 // bug degrades to an error, never to a wrong answer.
 //
 // Resilience, in front of the routing:
@@ -54,7 +54,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -493,45 +492,48 @@ type solveItem struct {
 	req     *wire.SolveRequest
 	m       *bitmat.Matrix
 	fp      *bitmat.Fingerprint
-	exact   bool // canonical form usable: route + lift through fp
-	payload wire.SolveRequest
+	exact   bool               // canonical form usable: route + lift through fp
+	payload *wire.SolveRequest // see shardRequest; nil until first needed
 }
 
-// prepare fingerprints one parsed request and decides its forwarding form:
-// canonical matrix for exact fingerprints (so equivalent requests present
-// byte-identical bodies to the shard), the original request otherwise. A
-// degenerate canonical form (all-zero matrix → 0×0) is forwarded as-is:
-// backends handle it, and its fingerprint still pins the shard.
+// prepare fingerprints one parsed request and decides how it routes.
 func prepare(req *wire.SolveRequest, m *bitmat.Matrix) *solveItem {
 	it := &solveItem{req: req, m: m, fp: bitmat.ComputeFingerprint(m)}
 	it.exact = it.fp.Exact && it.fp.Canonical.Rows() > 0 && it.fp.Canonical.Cols() > 0
-	if it.exact {
-		it.payload = wire.SolveRequest{Matrix: it.fp.Canonical.String(), Options: req.Options}
-	} else {
-		it.payload = *req
-	}
 	return it
 }
 
-// liftJSON maps a canonical-space wire result onto the item's request
-// matrix. hit marks the result as locally cache-served, zeroing the
-// solver-stage stats like every other cache layer does.
-func (it *solveItem) liftJSON(canon *wire.ResultJSON, hit bool) (*wire.ResultJSON, error) {
-	rects := make([]solvecache.RectIndices, len(canon.Partition))
-	for i, r := range canon.Partition {
-		rects[i] = solvecache.RectIndices{Rows: r.Rows, Cols: r.Cols}
+// shardRequest returns the request the shard receives: the canonical
+// matrix for exact fingerprints (so equivalent requests present
+// byte-identical bodies to the shard), the original request otherwise. A
+// degenerate canonical form (all-zero matrix → 0×0) is forwarded as-is:
+// backends handle it, and its fingerprint still pins the shard. Built on
+// first use, since a local hit never forwards.
+func (it *solveItem) shardRequest() *wire.SolveRequest {
+	if it.payload == nil {
+		it.payload = it.req
+		if it.exact {
+			it.payload = &wire.SolveRequest{Matrix: it.fp.Canonical.String(), Options: it.req.Options}
+		}
 	}
-	p, err := solvecache.LiftCanonical(it.fp, it.m, rects)
+	return it.payload
+}
+
+// liftJSON maps a canonical-space wire result onto the item's request
+// matrix, in index space (solvecache.LiftIndices). hit marks the result as
+// locally cache-served, zeroing the solver-stage stats like every other
+// cache layer does.
+func (it *solveItem) liftJSON(canon *wire.ResultJSON, hit bool) (*wire.ResultJSON, error) {
+	out := *canon
+	out.Partition = make([]wire.RectJSON, len(canon.Partition))
+	err := solvecache.LiftIndices(it.fp, it.m, len(canon.Partition),
+		func(k int) ([]int, []int) { return canon.Partition[k].Rows, canon.Partition[k].Cols },
+		func(k int, rows, cols []int) { out.Partition[k] = wire.RectJSON{Rows: rows, Cols: cols} })
 	if err != nil {
 		return nil, err
 	}
-	out := *canon
 	out.Fingerprint = it.fp.Hash
-	out.Depth = p.Depth()
-	out.Partition = make([]wire.RectJSON, 0, p.Depth())
-	for _, r := range p.Rects {
-		out.Partition = append(out.Partition, wire.RectJSON{Rows: r.RowIndices(), Cols: r.ColIndices()})
-	}
+	out.Depth = len(out.Partition)
 	if hit {
 		out.CacheHit = true
 		out.SATCalls = 0
@@ -564,10 +566,9 @@ func (g *Gateway) solveOne(ctx context.Context, it *solveItem, hdr http.Header) 
 			g.cache.invalidate(it.fp.Hash)
 		}
 	}
-	payload, err := json.Marshal(&it.payload)
-	if err != nil {
-		return http.StatusInternalServerError, wire.Errorf(wire.CodeInternal, "%v", err), nil
-	}
+	fwd := it.shardRequest()
+	// Each newline of the matrix text is escaped to two bytes.
+	payload := wire.AppendSolveRequest(make([]byte, 0, len(fwd.Matrix)+strings.Count(fwd.Matrix, "\n")+64), fwd)
 	fr := g.forward(ctx, it.fp.Hash, "/v1/solve", payload, hdr)
 	if fr.err != nil {
 		if ctx.Err() != nil {
@@ -589,7 +590,7 @@ func (g *Gateway) solveOne(ctx context.Context, it *solveItem, hdr http.Header) 
 		return http.StatusOK, nil, g.stitchRelay(ctx, fr.body)
 	}
 	var canon wire.ResultJSON
-	if err := json.Unmarshal(fr.body, &canon); err != nil {
+	if err := wire.DecodeResult(fr.body, &canon); err != nil {
 		g.met.failed.Add(1)
 		return http.StatusBadGateway, wire.Errorf(wire.CodeUpstream, "bad backend response: %v", err), nil
 	}
@@ -612,7 +613,7 @@ func (g *Gateway) solveOne(ctx context.Context, it *solveItem, hdr http.Header) 
 	if cacheableJSON(&canon) && !canon.CacheHit {
 		// A fresh proof (not a backend cache hit — those were replicated
 		// when first solved): warm the ring successors asynchronously.
-		g.replicate(it.fp.Hash, it.payload.Matrix, &canon, fr.backend)
+		g.replicate(it.fp.Hash, fwd.Matrix, &canon, fr.backend)
 	}
 	return http.StatusOK, res, nil
 }
@@ -642,15 +643,11 @@ func (g *Gateway) stitchRelay(ctx context.Context, body []byte) []byte {
 		return body
 	}
 	var canon wire.ResultJSON
-	if err := json.Unmarshal(body, &canon); err != nil || canon.Trace == nil {
+	if err := wire.DecodeResult(body, &canon); err != nil || canon.Trace == nil {
 		return body
 	}
 	g.stitch(ctx, &canon)
-	out, err := json.Marshal(&canon)
-	if err != nil {
-		return body
-	}
-	return out
+	return wire.AppendResultJSON(nil, &canon)
 }
 
 // statusClientClosedRequest mirrors ebmfd's use of nginx's non-standard 499

@@ -510,6 +510,8 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 		{"unknown field", `{"matrecks":"1"}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest, wire.CodeBudgetExceeded},
 		{"not json", `hello`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"trailing junk", `{"matrix":"101\n011"} trailing junk`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"second value", `{"matrix":"101\n011"}{"matrix":"1"}`, http.StatusBadRequest, wire.CodeBadRequest},
 	}
 	for _, tc2 := range cases {
 		resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", strings.NewReader(tc2.body))
@@ -534,6 +536,34 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 		if s.Cache().Stats().Solves != 0 {
 			t.Errorf("backend %d ran a solve for an invalid request", i)
 		}
+	}
+}
+
+// TestGatewayOverCapBodyIs413 pins the gateway's body-size budget: a body
+// over MaxBodyBytes is 413 budget_exceeded, as at ebmfd, wherever its JSON
+// value ends, and it never reaches a backend.
+func TestGatewayOverCapBodyIs413(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{MaxBodyBytes: 64})
+	for _, body := range []string{
+		`{"matrix":"` + strings.Repeat("1", 64) + `"}`,
+		`{"matrix":"1"}` + strings.Repeat(" ", 64),
+	} {
+		for _, path := range []string{"/v1/solve", "/v1/batch", "/v1/jobs"} {
+			resp, err := http.Post(tc.ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e wire.ErrorResponse
+			decErr := json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || e.Code != wire.CodeBudgetExceeded {
+				t.Errorf("%s with a %d-byte body: status %d, code %q (%v), want 413 %q",
+					path, len(body), resp.StatusCode, e.Code, decErr, wire.CodeBudgetExceeded)
+			}
+		}
+	}
+	if n := tc.servers[0].Cache().Stats().Solves; n != 0 {
+		t.Errorf("the backend ran %d solves for over-cap bodies", n)
 	}
 }
 

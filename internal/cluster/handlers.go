@@ -34,7 +34,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.SolveRequest
 	if err := g.decode(w, r, &req); err != nil {
-		g.badRequest(w, err)
+		g.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -89,7 +89,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.BatchRequest
 	if err := g.decode(w, r, &req); err != nil {
-		g.badRequest(w, err)
+		g.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -154,7 +154,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sub := wire.BatchRequest{Requests: make([]wire.SolveRequest, len(gr.items))}
 			for i, it := range gr.items {
-				sub.Requests[i] = it.payload
+				sub.Requests[i] = *it.shardRequest()
 			}
 			payload, err := json.Marshal(&sub)
 			if err != nil {
@@ -204,7 +204,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 					g.cache.put(it.fp.Hash, item.Result)
 				}
 				if cacheableJSON(item.Result) && !item.Result.CacheHit {
-					g.replicate(it.fp.Hash, it.payload.Matrix, item.Result, fr.backend)
+					g.replicate(it.fp.Hash, it.shardRequest().Matrix, item.Result, fr.backend)
 				}
 				resp.Results[orig] = wire.BatchItem{Result: res}
 			}
@@ -260,14 +260,23 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.MetricsSnapshot())
 }
 
-// decode reads one JSON body within the configured size cap, rejecting
-// unknown fields exactly like ebmfd (a typo'd option must be a 400, not a
-// silently ignored knob).
+// decode reads one request body whole within the configured size cap and
+// decodes it strictly, exactly like ebmfd (wire.DecodeBody): a typo'd
+// option or trailing bytes must be a 400, not silently ignored.
 func (g *Gateway) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
+	return wire.DecodeBody(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), dst)
+}
+
+// rejectBody answers a request whose body failed to decode: 413
+// budget_exceeded over the size cap, 400 bad_request otherwise.
+func (g *Gateway) rejectBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		g.badRequest(w, err)
+		return
+	}
+	g.met.badRequests.Add(1)
+	writeJSON(w, http.StatusRequestEntityTooLarge, wire.Errorf(wire.CodeBudgetExceeded, "%v", err))
 }
 
 // gwError is a gateway-side coded failure, mirroring ebmfd's
@@ -304,6 +313,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(status)
+	if res, ok := v.(*wire.ResultJSON); ok {
+		wire.WriteResult(w, res)
+		return
+	}
 	json.NewEncoder(w).Encode(v)
 }
 

@@ -229,7 +229,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.JobRequest
 	if err := g.decode(w, r, &req); err != nil {
-		g.badRequest(w, err)
+		g.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -247,8 +247,8 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	it := prepare(sreq, m)
 	// Forward the canonical matrix exactly like the solve path, so the
 	// backend's cache and singleflight see the same key space either way.
-	fwd := req
-	fwd.Matrix, fwd.Rows = it.payload.Matrix, it.payload.Rows
+	fwd, shard := req, it.shardRequest()
+	fwd.Matrix, fwd.Rows = shard.Matrix, shard.Rows
 	payload, err := json.Marshal(&fwd)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, wire.Errorf(wire.CodeInternal, "%v", err))

@@ -58,50 +58,104 @@ var (
 // valid, otherwise an error wrapping one of the Err* sentinels with details.
 func (p *Partition) Validate() error {
 	m := p.M
-	cover := bitmat.New(m.Rows(), m.Cols())
+	c := NewChecker(m)
 	for idx, r := range p.Rects {
 		if r.Rows.Len() != m.Rows() || r.Cols.Len() != m.Cols() {
 			return fmt.Errorf("rectangle %d is %d×%d-dimensional for a %d×%d matrix: %w",
 				idx, r.Rows.Len(), r.Cols.Len(), m.Rows(), m.Cols(), ErrDimension)
 		}
+		c.n++
 		if r.IsEmpty() {
 			return fmt.Errorf("rectangle %d: %w", idx, ErrEmptyRect)
 		}
 		var fail error
 		r.Rows.ForEachOne(func(i int) {
-			if fail != nil {
-				return
+			if fail == nil {
+				fail = c.row(i, r.Cols)
 			}
-			row := m.Row(i)
-			conflict := r.Cols.Clone()
-			conflict.AndNot(row)
-			if !conflict.IsZero() {
-				fail = fmt.Errorf("rectangle %d covers 0 at (%d,%d): %w",
-					idx, i, conflict.NextOne(0), ErrNotMonochromatic)
-				return
-			}
-			covRow := cover.Row(i)
-			overlap := r.Cols.Clone()
-			overlap.And(covRow)
-			if !overlap.IsZero() {
-				fail = fmt.Errorf("rectangle %d overlaps earlier rectangle at (%d,%d): %w",
-					idx, i, overlap.NextOne(0), ErrOverlap)
-				return
-			}
-			covRow.Or(r.Cols)
 		})
 		if fail != nil {
 			return fail
 		}
 	}
-	if !cover.Equal(m) {
-		// Locate one uncovered 1 for the error message.
-		for i := 0; i < m.Rows(); i++ {
-			missing := m.Row(i).Clone()
-			missing.AndNot(cover.Row(i))
-			if !missing.IsZero() {
-				return fmt.Errorf("entry (%d,%d): %w", i, missing.NextOne(0), ErrUncovered)
-			}
+	return c.Done()
+}
+
+// Checker is the validation kernel behind Partition.Validate and the
+// index-space lift of cached partitions: rectangles are checked one at a
+// time against one cover matrix, without materializing them.
+type Checker struct {
+	m     *bitmat.Matrix
+	cover *bitmat.Matrix
+	mask  bitmat.Vec // column mask of the rectangle in AddIndices
+	n     int        // rectangles checked so far
+}
+
+// NewChecker starts checking a partition of m.
+func NewChecker(m *bitmat.Matrix) *Checker {
+	return &Checker{m: m, cover: bitmat.New(m.Rows(), m.Cols())}
+}
+
+// AddIndices checks the next rectangle, given as row and column index
+// lists, which must lie inside the matrix: nonempty, 1-monochromatic and
+// disjoint from the rectangles before it. Rows are checked in list order.
+func (c *Checker) AddIndices(rows, cols []int) error {
+	c.n++
+	if len(rows) == 0 || len(cols) == 0 {
+		return fmt.Errorf("rectangle %d: %w", c.n-1, ErrEmptyRect)
+	}
+	if c.mask.Len() == 0 {
+		c.mask = bitmat.NewVec(c.m.Cols())
+	}
+	for _, j := range cols {
+		c.mask.Set(j, true)
+	}
+	var err error
+	for _, i := range rows {
+		if err = c.row(i, c.mask); err != nil {
+			break
+		}
+	}
+	for _, j := range cols {
+		c.mask.Set(j, false)
+	}
+	return err
+}
+
+// row checks row i of the current rectangle, whose columns are cols, and
+// marks it covered.
+func (c *Checker) row(i int, cols bitmat.Vec) error {
+	idx := c.n - 1
+	row := c.m.Row(i)
+	if !cols.SubsetOf(row) {
+		conflict := cols.Clone()
+		conflict.AndNot(row)
+		return fmt.Errorf("rectangle %d covers 0 at (%d,%d): %w",
+			idx, i, conflict.NextOne(0), ErrNotMonochromatic)
+	}
+	covRow := c.cover.Row(i)
+	if cols.Intersects(covRow) {
+		overlap := cols.Clone()
+		overlap.And(covRow)
+		return fmt.Errorf("rectangle %d overlaps earlier rectangle at (%d,%d): %w",
+			idx, i, overlap.NextOne(0), ErrOverlap)
+	}
+	covRow.Or(cols)
+	return nil
+}
+
+// Done reports whether the rectangles checked so far cover every 1 of the
+// matrix.
+func (c *Checker) Done() error {
+	if c.cover.Equal(c.m) {
+		return nil
+	}
+	// Locate one uncovered 1 for the error message.
+	for i := 0; i < c.m.Rows(); i++ {
+		missing := c.m.Row(i).Clone()
+		missing.AndNot(c.cover.Row(i))
+		if !missing.IsZero() {
+			return fmt.Errorf("entry (%d,%d): %w", i, missing.NextOne(0), ErrUncovered)
 		}
 	}
 	return nil

@@ -234,3 +234,42 @@ func TestQuickFactorsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckerIndicesAgreeWithValidate drives the shared validation kernel
+// through both doors — bitset rectangles (Validate) and index lists
+// (Checker.AddIndices) — on valid and broken partitions of Fig. 1b: both
+// must report the same first error, message included.
+func TestCheckerIndicesAgreeWithValidate(t *testing.T) {
+	m := bitmat.MustParse(fig1b)
+	good := fig1bPartition(m)
+	cases := map[string]*Partition{"valid": good}
+	overlap := good.Clone()
+	overlap.Add(overlap.Rects[0].Clone())
+	cases["overlap"] = overlap
+	zero := good.Clone()
+	zero.Rects[1] = FromIndices(6, 6, []int{1, 3, 4}, []int{1, 2})
+	cases["covers a 0"] = zero
+	empty := good.Clone()
+	empty.Rects[2] = FromIndices(6, 6, nil, []int{3})
+	cases["empty"] = empty
+	cases["uncovered"] = &Partition{M: m, Rects: good.Clone().Rects[:4]}
+	for name, p := range cases {
+		want := p.Validate()
+		c := NewChecker(m)
+		var got error
+		for _, r := range p.Rects {
+			if got = c.AddIndices(r.RowIndices(), r.ColIndices()); got != nil {
+				break
+			}
+		}
+		if got == nil {
+			got = c.Done()
+		}
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Errorf("%s: AddIndices says %v, Validate says %v", name, got, want)
+		}
+		if name != "valid" && want == nil {
+			t.Errorf("%s: Validate accepted a broken partition", name)
+		}
+	}
+}

@@ -102,7 +102,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.SolveRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, err)
+		s.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -145,7 +145,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.BatchRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, err)
+		s.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -224,20 +224,35 @@ func (s *Server) solveOne(ctx context.Context, t *tenant, m *bitmat.Matrix, req 
 		defer cancel()
 	}
 	t0 := time.Now()
-	res, fp, err := s.cache.SolveContextKeyed(solveCtx, m, opts)
+	rj, res, err := s.cachedSolve(solveCtx, m, opts)
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, wire.CodeInternal, "%v", err)
 	}
 	s.met.observeSolve(res, time.Since(t0))
 	if sp := obs.FromContext(ctx); sp != nil {
-		sp.SetAttr("fingerprint", fp)
+		sp.SetAttr("fingerprint", rj.Fingerprint)
 		if res.CacheHit {
 			sp.SetAttr("cache_hit", "true")
 		}
 		sp.SetAttrInt("depth", int64(res.Depth))
 		sp.SetAttrInt("conflicts", res.Conflicts)
 	}
-	return wire.FromResult(res, fp), nil
+	return rj, nil
+}
+
+// cachedSolve runs one solve through the cache and returns its wire form,
+// plus the result for metrics. The partition goes from the cache's index
+// lists to the wire without bitset rectangles.
+func (s *Server) cachedSolve(ctx context.Context, m *bitmat.Matrix, opts core.Options) (*wire.ResultJSON, *core.Result, error) {
+	res, rects, fp, err := s.cache.SolveContextIndexed(ctx, m, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	part := make([]wire.RectJSON, len(rects))
+	for k, r := range rects {
+		part[k] = wire.RectJSON(r)
+	}
+	return wire.FromIndexed(res, fp, part), res, nil
 }
 
 // statusClientClosedRequest mirrors nginx's non-standard 499 for requests
@@ -259,7 +274,7 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 	var req wire.FillRequest
 	if err := s.decode(w, r, &req); err != nil {
 		s.met.fillRejected.Add(1)
-		s.badRequest(w, err)
+		s.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -384,15 +399,22 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.cfg.Tracer.Traces())
 }
 
-// decode reads one JSON body within the configured size cap.
+// decode reads one request body whole within the configured size cap and
+// decodes it strictly (wire.DecodeBody).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
+	return wire.DecodeBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), dst)
+}
+
+// rejectBody answers a request whose body failed to decode: 413
+// budget_exceeded over the size cap, 400 bad_request otherwise.
+func (s *Server) rejectBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		s.badRequest(w, err)
+		return
 	}
-	return nil
+	s.met.badRequests.Add(1)
+	s.writeError(w, apiErrorf(http.StatusRequestEntityTooLarge, wire.CodeBudgetExceeded, "%v", err))
 }
 
 // requestMatrix parses and size-checks one request's matrix, classifying
@@ -418,6 +440,9 @@ func (s *Server) badRequest(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	if res, ok := v.(*wire.ResultJSON); ok {
+		wire.WriteResult(w, res)
+		return
+	}
+	json.NewEncoder(w).Encode(v)
 }

@@ -383,7 +383,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.JobRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, err)
+		s.rejectBody(w, err)
 		return
 	}
 	if err := wire.CheckAPI(req.API); err != nil {
@@ -490,7 +490,7 @@ func (s *Server) runJob(j *job, t *tenant, m *bitmat.Matrix, opts core.Options, 
 		defer cancel()
 	}
 	t0 := time.Now()
-	res, fp, err := s.cache.SolveContextKeyed(solveCtx, m, opts)
+	rj, res, err := s.cachedSolve(solveCtx, m, opts)
 	if err != nil {
 		s.met.jobsFailed.Add(1)
 		s.met.internalErrors.Add(1)
@@ -498,7 +498,6 @@ func (s *Server) runJob(j *job, t *tenant, m *bitmat.Matrix, opts core.Options, 
 		return
 	}
 	s.met.observeSolve(res, time.Since(t0))
-	rj := wire.FromResult(res, fp)
 	if res.Canceled && j.lifetime.Err() != nil {
 		// DELETE mid-solve: the partial result (best depth so far) is kept
 		// on the canceled snapshot.
@@ -532,7 +531,7 @@ func (s *Server) runShedJob(j *job, t *tenant, m *bitmat.Matrix, opts core.Optio
 	opts.SkipSAT = true
 	opts.Portfolio = core.PortfolioOptions{}
 	t0 := time.Now()
-	res, fp, err := s.cache.SolveContextKeyed(j.lifetime, m, opts)
+	rj, res, err := s.cachedSolve(j.lifetime, m, opts)
 	if err != nil {
 		s.met.jobsFailed.Add(1)
 		s.finishJob(j, wire.JobFailed, nil, err.Error(), true)
@@ -545,7 +544,7 @@ func (s *Server) runShedJob(j *job, t *tenant, m *bitmat.Matrix, opts core.Optio
 		return
 	}
 	s.met.jobsDone.Add(1)
-	s.finishJob(j, wire.JobDone, wire.FromResult(res, fp), "", true)
+	s.finishJob(j, wire.JobDone, rj, "", true)
 }
 
 // jobFor resolves {id} to a job visible to the requesting tenant,

@@ -156,6 +156,8 @@ func TestSolveBadRequests(t *testing.T) {
 		{"bad encoding", `{"matrix":"1","options":{"encoding":"cnf3"}}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest, wire.CodeBudgetExceeded},
 		{"not json", `hello`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"trailing junk", `{"matrix":"101\n011"} trailing junk`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"second value", `{"matrix":"101\n011"}{"matrix":"1"}`, http.StatusBadRequest, wire.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
@@ -219,6 +221,41 @@ func TestBatchTooLarge(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestOverCapBodyIs413 pins the body-size budget: a body over MaxBodyBytes
+// is 413 budget_exceeded on every endpoint that decodes one, including a
+// body whose JSON value ends within the cap and is followed by padding.
+func TestOverCapBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	for _, body := range []string{
+		`{"matrix":"` + strings.Repeat("1", 64) + `"}`,
+		`{"matrix":"1"}` + strings.Repeat(" ", 64),
+	} {
+		for _, path := range []string{"/v1/solve", "/v1/batch", "/v1/fill", "/v1/jobs"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e wire.ErrorResponse
+			decErr := json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || e.Code != wire.CodeBudgetExceeded {
+				t.Errorf("%s with a %d-byte body: status %d, code %q (%v), want 413 %q",
+					path, len(body), resp.StatusCode, e.Code, decErr, wire.CodeBudgetExceeded)
+			}
+		}
+	}
+	// At the cap exactly, the body is decoded.
+	body := `{"matrix":"1"}` + strings.Repeat(" ", 64-len(`{"matrix":"1"}`))
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a body of exactly MaxBodyBytes: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -23,12 +23,14 @@
 //     solve, so a restarted process serves its whole history warm and an
 //     LRU eviction is not a death sentence. Seed injects replicated results
 //     from other fleet members through the same door.
-//   - Lifting. Cached partitions live on the canonical matrix. A hit maps
-//     them through the request's Fingerprint (RowMap/ColMap, then the
-//     request's own Compression) and re-validates against the request
-//     matrix, so a corrupted or colliding entry degrades to a miss, never to
-//     a wrong answer — the same insurance covers durable records and
-//     replicated seeds.
+//   - Lifting. Cached partitions live on the canonical matrix, held once per
+//     entry as index lists. A hit maps them through the request's
+//     Fingerprint (RowMap/ColMap, then the request's own Compression)
+//     straight to sorted request-space index lists (LiftIndices) and
+//     re-validates them against the request matrix, so a corrupted or
+//     colliding entry degrades to a miss, never to a wrong answer — the same
+//     insurance covers durable records and replicated seeds. Bitset
+//     rectangles are built only for callers that ask for a *rect.Partition.
 //
 // Options may differ freely across requests: only proved-optimal results
 // cross request boundaries (from the store or from a singleflight leader),
@@ -42,6 +44,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitmat"
@@ -72,16 +75,55 @@ type Cache struct {
 // entry is one cached canonical-space result. Immutable once stored.
 type entry struct {
 	key string
-	res *core.Result // Partition indexes the canonical matrix
+	// res carries the result's metadata; its Partition is nil.
+	res *core.Result
+	// rects is the partition of the rows×cols canonical matrix, as sorted
+	// index lists sharing one backing array.
+	rects      []RectIndices
+	rows, cols int
 }
 
-// flight is one in-progress leader solve that followers wait on. res/err/
-// abandoned are written before done is closed and read only after it is
+// newEntry flattens a canonical-space result with a non-nil Partition.
+func newEntry(key string, res *core.Result) *entry {
+	meta := *res
+	meta.Partition = nil
+	return &entry{
+		key:   key,
+		res:   &meta,
+		rects: indicesOf(res.Partition),
+		rows:  res.Partition.M.Rows(),
+		cols:  res.Partition.M.Cols(),
+	}
+}
+
+// indicesOf lists a partition's rectangles as index lists sharing one
+// backing array.
+func indicesOf(p *rect.Partition) []RectIndices {
+	n := 0
+	for _, r := range p.Rects {
+		n += r.Rows.Ones() + r.Cols.Ones()
+	}
+	buf := make([]int, 0, n)
+	out := make([]RectIndices, len(p.Rects))
+	for k, r := range p.Rects {
+		start := len(buf)
+		r.Rows.ForEachOne(func(i int) { buf = append(buf, i) })
+		mid := len(buf)
+		r.Cols.ForEachOne(func(j int) { buf = append(buf, j) })
+		out[k] = RectIndices{Rows: buf[start:mid:mid], Cols: buf[mid:len(buf):len(buf)]}
+	}
+	return out
+}
+
+// flight is one in-progress leader solve that followers wait on. res/canon/
+// err/abandoned are written before done is closed and read only after it is
 // closed.
 type flight struct {
 	done chan struct{}
 	res  *core.Result
-	err  error
+	// canon is the entry the leader stored; nil when res is not cacheable.
+	canon *entry
+	err   error
 	// abandoned marks a flight whose leader died without a verdict (its
 	// pipeline panicked). Followers re-elect a new leader instead of
 	// inheriting an error the matrix did not cause.
@@ -191,8 +233,42 @@ func (c *Cache) SolveContext(ctx context.Context, m *bitmat.Matrix, opts core.Op
 // canonical fingerprint hash ("" when canonicalization exceeded its budget
 // and the request bypassed the cache).
 func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts core.Options) (*core.Result, string, error) {
+	a, hash, err := c.solve(ctx, m, opts)
+	if err != nil {
+		return nil, hash, err
+	}
+	if a.res.Partition == nil {
+		a.res.Partition = partitionOf(m, a.rects)
+	}
+	return a.res, hash, nil
+}
+
+// SolveContextIndexed is SolveContextKeyed for callers that serve the
+// partition as index lists: rects holds the request-space rectangles as
+// sorted index lists sharing one backing array, and the result's Partition
+// is nil whenever the answer was lifted from a canonical entry — a cache
+// hit never builds a bitset rectangle.
+func (c *Cache) SolveContextIndexed(ctx context.Context, m *bitmat.Matrix, opts core.Options) (*core.Result, []RectIndices, string, error) {
+	a, hash, err := c.solve(ctx, m, opts)
+	if err != nil {
+		return nil, nil, hash, err
+	}
+	if a.rects == nil {
+		a.rects = indicesOf(a.res.Partition)
+	}
+	return a.res, a.rects, hash, nil
+}
+
+// answer is one request's result: lifted from a canonical entry (rects set,
+// res.Partition nil) or straight from the pipeline (res.Partition set).
+type answer struct {
+	res   *core.Result
+	rects []RectIndices
+}
+
+func (c *Cache) solve(ctx context.Context, m *bitmat.Matrix, opts core.Options) (answer, string, error) {
 	if m == nil {
-		return nil, "", core.ErrNilMatrix
+		return answer{}, "", core.ErrNilMatrix
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -201,7 +277,7 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 	if !fp.Exact {
 		c.count(func(s *Stats) { s.Uncacheable++; s.Solves++ })
 		res, err := c.solveFn(ctx, m, opts)
-		return res, "", err
+		return answer{res: res}, "", err
 	}
 
 	triedDurable := false
@@ -212,9 +288,9 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 			e := el.Value.(*entry)
 			c.stats.Hits++
 			c.mu.Unlock()
-			res, err := liftResult(e.res, fp, m, true)
+			a, err := lift(e, fp, m, true)
 			if err == nil {
-				return res, fp.Hash, nil
+				return a, fp.Hash, nil
 			}
 			// Collision insurance: drop the entry and solve for real.
 			c.invalidate(fp.Hash, el)
@@ -229,7 +305,7 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 				// returns a valid heuristic partition, marked Canceled.
 				c.count(func(s *Stats) { s.Solves++ })
 				res, err := c.solveFn(ctx, m, opts)
-				return res, fp.Hash, err
+				return answer{res: res}, fp.Hash, err
 			case <-f.done:
 			}
 			if f.abandoned {
@@ -239,7 +315,7 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 				continue
 			}
 			if f.err != nil {
-				return nil, fp.Hash, f.err
+				return answer{}, fp.Hash, f.err
 			}
 			if !cacheable(f.res) {
 				// The leader's result is request-specific (budget-limited,
@@ -249,8 +325,8 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 				continue
 			}
 			c.count(func(s *Stats) { s.SharedHits++ })
-			if res, err := liftResult(f.res, fp, m, true); err == nil {
-				return res, fp.Hash, nil
+			if a, err := lift(f.canon, fp, m, true); err == nil {
+				return a, fp.Hash, nil
 			}
 			c.count(func(s *Stats) { s.LiftFailures++ })
 			continue
@@ -262,13 +338,13 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 			// worst promote the same record twice.
 			c.mu.Unlock()
 			triedDurable = true
-			if res := durableLookup(durable, fp.Hash); res != nil {
-				if lifted, err := liftResult(res, fp, m, true); err == nil {
+			if e := durableLookup(durable, fp.Hash); e != nil {
+				if a, err := lift(e, fp, m, true); err == nil {
 					c.mu.Lock()
-					c.store(fp.Hash, res)
+					c.store(e)
 					c.stats.DurableHits++
 					c.mu.Unlock()
-					return lifted, fp.Hash, nil
+					return a, fp.Hash, nil
 				}
 				// The durable record failed re-validation against the
 				// request matrix (corruption that passed the CRC, or a
@@ -287,10 +363,14 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 
 		res, err := c.leadSolve(ctx, fp, f, opts)
 		if err != nil {
-			return nil, fp.Hash, err
+			return answer{}, fp.Hash, err
 		}
-		lifted, err := liftResult(res, fp, m, false)
-		return lifted, fp.Hash, err
+		canon := f.canon
+		if canon == nil {
+			canon = newEntry(fp.Hash, res)
+		}
+		a, err := lift(canon, fp, m, false)
+		return a, fp.Hash, err
 	}
 }
 
@@ -301,21 +381,24 @@ func (c *Cache) SolveContextKeyed(ctx context.Context, m *bitmat.Matrix, opts co
 func (c *Cache) leadSolve(ctx context.Context, fp *bitmat.Fingerprint, f *flight, opts core.Options) (res *core.Result, err error) {
 	completed := false
 	defer func() {
+		var canon *entry
+		if completed && err == nil && cacheable(res) {
+			canon = newEntry(fp.Hash, res)
+		}
 		c.mu.Lock()
 		delete(c.flights, fp.Hash)
-		shouldStore := completed && err == nil && cacheable(res)
-		if shouldStore {
-			c.store(fp.Hash, res)
+		if canon != nil {
+			c.store(canon)
 		}
 		durable := c.durable
 		c.mu.Unlock()
-		if shouldStore && durable != nil {
+		if canon != nil && durable != nil {
 			// Write-through to the durable tier, outside the cache lock
 			// (Put may fsync). A disk failure is logged and counted by the
 			// store; it never fails the solve that produced the result.
-			durable.Put(recordFromResult(fp.Hash, res))
+			durable.Put(recordFromEntry(canon))
 		}
-		f.res, f.err, f.abandoned = res, err, !completed
+		f.res, f.canon, f.err, f.abandoned = res, canon, err, !completed
 		close(f.done)
 	}()
 	res, err = c.solveFn(ctx, fp.Canonical, opts)
@@ -336,10 +419,11 @@ func (c *Cache) Seed(hash string, res *core.Result) bool {
 	if hash == "" || res == nil || !cacheable(res) || res.Partition == nil {
 		return false
 	}
+	e := newEntry(hash, res)
 	c.mu.Lock()
 	_, inLRU := c.byKey[hash]
 	if !inLRU {
-		c.store(hash, res)
+		c.store(e)
 		c.stats.Seeds++
 	}
 	durable := c.durable
@@ -347,7 +431,7 @@ func (c *Cache) Seed(hash string, res *core.Result) bool {
 	stored := !inLRU
 	if durable != nil {
 		if _, ok := durable.Get(hash); !ok {
-			durable.Put(recordFromResult(hash, res))
+			durable.Put(recordFromEntry(e))
 			stored = true
 		}
 	}
@@ -361,15 +445,15 @@ func cacheable(res *core.Result) bool {
 	return res.Optimal && !res.TimedOut && !res.Canceled
 }
 
-// store inserts a canonical-space result, evicting from the LRU tail.
+// store inserts a canonical-space entry, evicting from the LRU tail.
 // Caller holds c.mu.
-func (c *Cache) store(key string, res *core.Result) {
-	if el, ok := c.byKey[key]; ok {
+func (c *Cache) store(e *entry) {
+	if el, ok := c.byKey[e.key]; ok {
 		c.lru.MoveToFront(el)
-		el.Value.(*entry).res = res
+		el.Value = e
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&entry{key: key, res: res})
+	c.byKey[e.key] = c.lru.PushFront(e)
 	c.stats.Stores++
 	for c.lru.Len() > c.capacity {
 		tail := c.lru.Back()
@@ -419,49 +503,114 @@ type RectIndices struct {
 // never a wrong answer. fp must be Exact and m a matrix with fp's canonical
 // form.
 func LiftCanonical(fp *bitmat.Fingerprint, m *bitmat.Matrix, rects []RectIndices) (*rect.Partition, error) {
-	if !fp.Exact {
-		return nil, fmt.Errorf("solvecache: cannot lift through an inexact fingerprint")
-	}
-	red := fp.Comp.Reduced
-	reduced := rect.NewPartition(red)
-	for _, r := range rects {
-		nr := rect.NewRect(red.Rows(), red.Cols())
-		for _, i := range r.Rows {
-			if i < 0 || i >= len(fp.RowMap) {
-				return nil, fmt.Errorf("solvecache: canonical row %d out of range", i)
-			}
-			nr.Rows.Set(fp.RowMap[i], true)
-		}
-		for _, j := range r.Cols {
-			if j < 0 || j >= len(fp.ColMap) {
-				return nil, fmt.Errorf("solvecache: canonical col %d out of range", j)
-			}
-			nr.Cols.Set(fp.ColMap[j], true)
-		}
-		reduced.Add(nr)
-	}
-	lifted := rect.Lift(fp.Comp, m, reduced)
-	if err := lifted.Validate(); err != nil {
-		return nil, fmt.Errorf("solvecache: lifted partition invalid: %w", err)
-	}
-	return lifted, nil
-}
-
-// liftResult maps a canonical-space result onto the request matrix via
-// LiftCanonical. hit marks the result as cache-served, zeroing the
-// solver-stage stats (they describe work this request did not do).
-func liftResult(res *core.Result, fp *bitmat.Fingerprint, m *bitmat.Matrix, hit bool) (*core.Result, error) {
-	rects := make([]RectIndices, 0, len(res.Partition.Rects))
-	for _, r := range res.Partition.Rects {
-		rects = append(rects, RectIndices{Rows: r.RowIndices(), Cols: r.ColIndices()})
-	}
-	lifted, err := LiftCanonical(fp, m, rects)
+	lifted := make([]RectIndices, len(rects))
+	err := LiftIndices(fp, m, len(rects),
+		func(k int) ([]int, []int) { return rects[k].Rows, rects[k].Cols },
+		func(k int, rows, cols []int) { lifted[k] = RectIndices{Rows: rows, Cols: cols} })
 	if err != nil {
 		return nil, err
 	}
-	out := *res
-	out.Partition = lifted
-	out.Depth = lifted.Depth()
+	return partitionOf(m, lifted), nil
+}
+
+// LiftIndices is the index-space lift behind every cache hit. canon(k)
+// returns canonical rectangle k's row and column lists (k < depth); each
+// index maps through fp.RowMap/ColMap and then expands to its group in the
+// request's compression record, giving sorted, duplicate-free request-space
+// lists that share one backing array and are handed to out(k, rows, cols).
+// The lifted rectangles are validated against m as they are produced, so a
+// corrupted or colliding canonical partition is an error, never a wrong
+// answer; on an error, whatever out received must be discarded. fp must be
+// Exact and m a matrix with fp's canonical form.
+func LiftIndices(fp *bitmat.Fingerprint, m *bitmat.Matrix, depth int, canon func(k int) (rows, cols []int), out func(k int, rows, cols []int)) error {
+	if !fp.Exact {
+		return fmt.Errorf("solvecache: cannot lift through an inexact fingerprint")
+	}
+	groups := fp.Comp
+	total := 0
+	for k := 0; k < depth; k++ {
+		rows, cols := canon(k)
+		for _, i := range rows {
+			if i < 0 || i >= len(fp.RowMap) {
+				return fmt.Errorf("solvecache: canonical row %d out of range", i)
+			}
+			total += len(groups.RowGroups[fp.RowMap[i]])
+		}
+		for _, j := range cols {
+			if j < 0 || j >= len(fp.ColMap) {
+				return fmt.Errorf("solvecache: canonical col %d out of range", j)
+			}
+			total += len(groups.ColGroups[fp.ColMap[j]])
+		}
+	}
+	buf := make([]int, 0, total)
+	check := rect.NewChecker(m)
+	for k := 0; k < depth; k++ {
+		rows, cols := canon(k)
+		start := len(buf)
+		buf = expand(buf, rows, fp.RowMap, groups.RowGroups)
+		mid := len(buf)
+		buf = expand(buf, cols, fp.ColMap, groups.ColGroups)
+		lr, lc := buf[start:mid:mid], buf[mid:len(buf):len(buf)]
+		if err := check.AddIndices(lr, lc); err != nil {
+			return fmt.Errorf("solvecache: lifted partition invalid: %w", err)
+		}
+		out(k, lr, lc)
+	}
+	if err := check.Done(); err != nil {
+		return fmt.Errorf("solvecache: lifted partition invalid: %w", err)
+	}
+	return nil
+}
+
+// expand appends the request-space lines of canonical lines idx — each
+// through canon→reduced map and then its duplicate group — sorted and
+// without repeats.
+func expand(buf, idx, canonMap []int, groups [][]int) []int {
+	start := len(buf)
+	for _, i := range idx {
+		buf = append(buf, groups[canonMap[i]]...)
+	}
+	seg := buf[start:]
+	slices.Sort(seg)
+	return buf[:start+len(slices.Compact(seg))]
+}
+
+// partitionOf builds the bitset partition of m for index-list rectangles;
+// all row sets share one bit matrix, and all column sets another.
+func partitionOf(m *bitmat.Matrix, rects []RectIndices) *rect.Partition {
+	p := rect.NewPartition(m)
+	if len(rects) == 0 {
+		return p
+	}
+	rowSets := bitmat.New(len(rects), m.Rows())
+	colSets := bitmat.New(len(rects), m.Cols())
+	p.Rects = make([]rect.Rect, len(rects))
+	for k, r := range rects {
+		p.Rects[k] = rect.Rect{Rows: rowSets.Row(k), Cols: colSets.Row(k)}
+		for _, i := range r.Rows {
+			p.Rects[k].Rows.Set(i, true)
+		}
+		for _, j := range r.Cols {
+			p.Rects[k].Cols.Set(j, true)
+		}
+	}
+	return p
+}
+
+// lift maps a canonical entry onto the request matrix. hit marks the result
+// as cache-served, zeroing the solver-stage stats (they describe work this
+// request did not do).
+func lift(e *entry, fp *bitmat.Fingerprint, m *bitmat.Matrix, hit bool) (answer, error) {
+	rects := make([]RectIndices, len(e.rects))
+	err := LiftIndices(fp, m, len(e.rects),
+		func(k int) ([]int, []int) { return e.rects[k].Rows, e.rects[k].Cols },
+		func(k int, rows, cols []int) { rects[k] = RectIndices{Rows: rows, Cols: cols} })
+	if err != nil {
+		return answer{}, err
+	}
+	out := *e.res
+	out.Depth = len(rects)
 	if hit {
 		out.CacheHit = true
 		out.SATCalls = 0
@@ -470,5 +619,5 @@ func liftResult(res *core.Result, fp *bitmat.Fingerprint, m *bitmat.Matrix, hit 
 		out.SATTime = 0
 		out.Portfolio = nil // racing stats describe the original solve's work
 	}
-	return &out, nil
+	return answer{res: &out, rects: rects}, nil
 }

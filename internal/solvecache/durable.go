@@ -16,19 +16,18 @@ import (
 	"repro/internal/store"
 )
 
-// recordFromResult flattens a canonical-space result into a store.Record.
-// res must be cacheable with a non-nil Partition indexing the canonical
-// matrix.
-func recordFromResult(hash string, res *core.Result) *store.Record {
-	rects := make([]store.RectRecord, 0, len(res.Partition.Rects))
-	for _, r := range res.Partition.Rects {
-		rects = append(rects, store.RectRecord{Rows: r.RowIndices(), Cols: r.ColIndices()})
+// recordFromEntry flattens a canonical entry into a store.Record.
+func recordFromEntry(e *entry) *store.Record {
+	rects := make([]store.RectRecord, len(e.rects))
+	for k, r := range e.rects {
+		rects[k] = store.RectRecord{Rows: r.Rows, Cols: r.Cols}
 	}
+	res := e.res
 	return &store.Record{
-		Hash:           hash,
-		Rows:           res.Partition.M.Rows(),
-		Cols:           res.Partition.M.Cols(),
-		Depth:          res.Depth,
+		Hash:           e.key,
+		Rows:           e.rows,
+		Cols:           e.cols,
+		Depth:          len(e.rects),
 		Certificate:    int(res.Certificate),
 		RankLB:         res.RankLB,
 		FoolingLB:      res.FoolingLB,
@@ -42,8 +41,8 @@ func recordFromResult(hash string, res *core.Result) *store.Record {
 // is the union of the record's rectangles, and the partition is validated
 // against it — overlapping or inconsistent rectangles fail here rather than
 // reaching the cache. The returned result is Optimal (only proved-optimal
-// results are ever persisted) with CacheHit left false; liftResult sets the
-// hit marking per request.
+// results are ever persisted) with CacheHit left false; lift sets the hit
+// marking per request.
 func resultFromRecord(rec *store.Record) (*core.Result, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
@@ -78,10 +77,11 @@ func resultFromRecord(rec *store.Record) (*core.Result, error) {
 	}, nil
 }
 
-// durableLookup fetches and reconstructs hash from the store, dropping
-// records that fail reconstruction (corruption that survived the CRC): a
-// damaged record degrades to a cache miss, never to a wrong answer.
-func durableLookup(st *store.Store, hash string) *core.Result {
+// durableLookup fetches and reconstructs hash from the store as a cache
+// entry, dropping records that fail reconstruction (corruption that survived
+// the CRC): a damaged record degrades to a cache miss, never to a wrong
+// answer.
+func durableLookup(st *store.Store, hash string) *entry {
 	rec, ok := st.Get(hash)
 	if !ok {
 		return nil
@@ -91,5 +91,5 @@ func durableLookup(st *store.Store, hash string) *core.Result {
 		st.Delete(hash)
 		return nil
 	}
-	return res
+	return newEntry(hash, res)
 }

@@ -27,6 +27,11 @@
 //     fields therefore ship together with the server that understands them;
 //     a client needing to know whether a field is understood checks the
 //     server's advertised version first.
+//   - A request body is exactly one JSON value: anything but whitespace
+//     after it (a second value, trailing junk) is a 400 bad_request. Both
+//     tiers read the whole body before decoding it, and a body over the
+//     server's size cap is a 413 budget_exceeded, wherever its JSON value
+//     ends.
 //   - Semantic changes — repurposed fields, changed defaults, removed
 //     endpoints — require bumping V. There has been no such change yet.
 //
@@ -253,6 +258,17 @@ type PortfolioJSON struct {
 // FromResult converts a solver result to its wire form. fingerprint may be
 // empty (it is filled by layers that computed one).
 func FromResult(res *core.Result, fingerprint string) *ResultJSON {
+	rects := make([]RectJSON, 0, res.Depth)
+	for _, r := range res.Partition.Rects {
+		rects = append(rects, RectJSON{Rows: r.RowIndices(), Cols: r.ColIndices()})
+	}
+	return FromIndexed(res, fingerprint, rects)
+}
+
+// FromIndexed is FromResult for a result whose partition is already in
+// index form: rects becomes the wire partition as is, and res.Partition is
+// not read.
+func FromIndexed(res *core.Result, fingerprint string, rects []RectJSON) *ResultJSON {
 	out := &ResultJSON{
 		API:            V1,
 		Depth:          res.Depth,
@@ -270,7 +286,7 @@ func FromResult(res *core.Result, fingerprint string) *ResultJSON {
 		PackNS:         res.PackTime.Nanoseconds(),
 		SATNS:          res.SATTime.Nanoseconds(),
 		Fingerprint:    fingerprint,
-		Partition:      make([]RectJSON, 0, res.Depth),
+		Partition:      rects,
 	}
 	if res.Portfolio != nil {
 		out.Portfolio = &PortfolioJSON{
@@ -280,12 +296,6 @@ func FromResult(res *core.Result, fingerprint string) *ResultJSON {
 			SharedClauseExports: res.Portfolio.SharedExported,
 			SharedClauseImports: res.Portfolio.SharedImported,
 		}
-	}
-	for _, r := range res.Partition.Rects {
-		out.Partition = append(out.Partition, RectJSON{
-			Rows: r.RowIndices(),
-			Cols: r.ColIndices(),
-		})
 	}
 	return out
 }

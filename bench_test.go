@@ -207,7 +207,8 @@ func BenchmarkQLDPCRowSufficiency(b *testing.B) {
 
 // --- Ablations (design choices from DESIGN.md §6) ---
 
-// Ablation 1: one-hot vs log encoding on the same decision problem.
+// benchEncoding runs the SAP narrowing loop with one encoder configuration
+// over a small gap suite.
 func benchEncoding(b *testing.B, mk func(*bitmat.Matrix, int) encode.Encoder) {
 	suite := benchgen.GapSuite(55, 8, 8, []int{3}, 3)
 	b.ResetTimer()
@@ -227,19 +228,7 @@ func benchEncoding(b *testing.B, mk func(*bitmat.Matrix, int) encode.Encoder) {
 	}
 }
 
-func BenchmarkAblationEncodingOneHot(b *testing.B) {
-	benchEncoding(b, func(m *bitmat.Matrix, bound int) encode.Encoder {
-		return encode.NewOneHot(m, bound, encode.AMOPairwise)
-	})
-}
-
-func BenchmarkAblationEncodingLog(b *testing.B) {
-	benchEncoding(b, func(m *bitmat.Matrix, bound int) encode.Encoder {
-		return encode.NewLog(m, bound)
-	})
-}
-
-// Ablation 2: at-most-one encodings. Native is the default (the solver's
+// Ablation: at-most-one encodings. Native is the default (the solver's
 // built-in propagator); pairwise and sequential are the encoded ablations.
 func BenchmarkAblationAMONative(b *testing.B) {
 	benchEncoding(b, func(m *bitmat.Matrix, bound int) encode.Encoder {
@@ -259,7 +248,7 @@ func BenchmarkAblationAMOSequential(b *testing.B) {
 	})
 }
 
-// Ablation 3: row-packing basis update on/off (paper keeps it on).
+// Ablation: row-packing basis update on/off (paper keeps it on).
 func benchPackVariant(b *testing.B, opts rowpack.Options) {
 	suite := benchgen.GapSuite(66, 10, 10, []int{4}, 10)
 	var totalDepth int
@@ -281,18 +270,13 @@ func BenchmarkAblationBasisUpdateOff(b *testing.B) {
 	benchPackVariant(b, rowpack.Options{Trials: 20, Seed: 1, DisableBasisUpdate: true})
 }
 
-// Ablation 4: shuffled vs popcount-sorted row order.
+// Ablation: shuffled vs popcount-sorted row order.
 func BenchmarkAblationOrderShuffle(b *testing.B) {
 	benchPackVariant(b, rowpack.Options{Trials: 20, Seed: 1, Order: rowpack.OrderShuffle})
 }
 
 func BenchmarkAblationOrderSorted(b *testing.B) {
 	benchPackVariant(b, rowpack.Options{Trials: 1, Order: rowpack.OrderSortedAsc})
-}
-
-// Ablation 5: DLX exact-cover packing (the paper's future-work idea).
-func BenchmarkAblationPackDLX(b *testing.B) {
-	benchPackVariant(b, rowpack.Options{Trials: 20, Seed: 1, UseDLX: true})
 }
 
 // --- Solver / SAP benchmarks: the perf-tracked set (DESIGN.md §7). These

@@ -10,10 +10,9 @@
 // Flags:
 //
 //	-trials N          row-packing trials (default 100)
-//	-encoding E        onehot | log (default onehot)
-//	-amo M             at-most-one handling for onehot: native | pairwise |
-//	                   sequential (default native — the solver's built-in
-//	                   propagator; the others are encoded ablations)
+//	-amo M             at-most-one handling: native | pairwise | sequential
+//	                   (default native — the solver's built-in propagator;
+//	                   the others are encoded ablations)
 //	-no-inprocess      disable between-restart clause simplification
 //	-budget N          SAT conflict budget, 0 = unlimited (default 2000000)
 //	-timeout D         SAT wall-clock budget, e.g. 30s (default unlimited)
@@ -23,8 +22,8 @@
 //	-share-clauses     exchange short learnt clauses between racers
 //	-strategies S      comma-separated strategy names (canonical, luby,
 //	                   destructive, no-phase, seq-amo, native-amo,
-//	                   pairwise-amo, glue4, no-symbreak, luby-destructive,
-//	                   log); names are validated up front; implies -portfolio
+//	                   pairwise-amo, luby-destructive); names are validated
+//	                   up front; implies -portfolio
 //	-factors           print the H and W factors
 //	-schedule          print the AOD schedule and per-shot frames
 //	-schedule-json F   write the AOD schedule as JSON to F ('-' for stdout)
@@ -62,7 +61,6 @@ import (
 
 	ebmf "repro"
 	"repro/internal/bitmat"
-	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
@@ -82,7 +80,6 @@ func main() {
 
 func run() int {
 	trials := flag.Int("trials", 100, "row-packing trials")
-	encoding := flag.String("encoding", "onehot", "CNF encoding: onehot or log")
 	amoMode := flag.String("amo", "native", "at-most-one handling: native, pairwise or sequential")
 	noInprocess := flag.Bool("no-inprocess", false, "disable between-restart clause simplification (ablation)")
 	budget := flag.Int64("budget", 2_000_000, "SAT conflict budget (0 = unlimited)")
@@ -103,7 +100,15 @@ func run() int {
 	degrade := flag.Bool("degrade", false, "with -server: accept a heuristic-only answer under overload instead of a 429")
 	callback := flag.String("callback", "", "with -server: webhook URL POSTed the terminal job (must be on the server's allowlist)")
 	quiet := flag.Bool("q", false, "print only the depth")
-	flag.Parse()
+	// A flag error is an error (exit 1), not exit 2's "valid but unproven"
+	// — which flag.ExitOnError would report, e.g. for a retired flag.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if err == flag.ErrHelp {
+			return exitOptimal
+		}
+		return exitError
+	}
 
 	var src io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -129,7 +134,6 @@ func run() int {
 	if *serverURL != "" {
 		wopts := &wire.SolveOptions{
 			Trials:         *trials,
-			Encoding:       *encoding,
 			AMO:            *amoMode,
 			ConflictBudget: *budget,
 			TimeoutMS:      timeout.Milliseconds(),
@@ -149,14 +153,6 @@ func run() int {
 	opts.TimeBudget = *timeout
 	opts.FoolingBudget = *fooling
 	opts.SkipSAT = *heuristic
-	switch *encoding {
-	case "onehot":
-		opts.Encoding = core.EncodingOneHot
-	case "log":
-		opts.Encoding = core.EncodingLog
-	default:
-		return fail(fmt.Errorf("unknown encoding %q", *encoding))
-	}
 	amo, err := encode.ParseAMO(*amoMode)
 	if err != nil {
 		return fail(err)

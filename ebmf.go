@@ -50,9 +50,9 @@
 // permutation symmetry by ordering slots by first-row index. Options
 // exposes the ablation knobs — DisableDecomposition (monolithic solve),
 // DisableSymmetryBreaking (slot-ordering clauses off), DisableIncremental
-// (unit-clause narrowing), DisablePhaseSaving, and LBDCap (glue-clause
-// retention threshold) — alongside the existing encoding, budget and
-// heuristic settings; see DESIGN.md for the measured trade-offs.
+// (unit-clause narrowing), DisablePhaseSaving and the AMO encoding —
+// alongside the budget and heuristic settings; see DESIGN.md for the
+// measured trade-offs.
 package ebmf
 
 import (

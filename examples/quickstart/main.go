@@ -65,6 +65,5 @@ func main() {
 	//	opts.DisableSymmetryBreaking = true // drop slot-ordering clauses
 	//	opts.DisableIncremental = true     // narrow with unit clauses instead
 	//	opts.DisablePhaseSaving = true     // forget polarities across backtracks
-	//	opts.LBDCap = 5                    // retain more glue clauses
 	//	res, err = ebmf.Solve(m, opts)
 }

@@ -537,6 +537,55 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 			t.Errorf("backend %d ran a solve for an invalid request", i)
 		}
 	}
+
+	// Invalid options are 400s even when the gateway could answer the
+	// pattern from its local cache, as they are at ebmfd; retired values
+	// ("log", "glue4", "no-symbreak") decode like any unknown value.
+	const warm = `101\n011\n110` // JSON-escaped
+	body := func(opts string) string { return `{"matrix":"` + warm + `","options":` + opts + `}` }
+	for i := 0; i < 2; i++ {
+		resp, _ := postJSON(t, tc.ts.URL+"/v1/solve", wire.SolveRequest{Matrix: strings.ReplaceAll(warm, `\n`, "\n")})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming solve: status %d", resp.StatusCode)
+		}
+	}
+	hits := tc.gw.MetricsSnapshot().Cache.Local.Hits
+	if hits == 0 {
+		t.Fatal("the warmed pattern is not served from the gateway's local cache")
+	}
+	for _, row := range []struct{ name, body, msg string }{
+		{"warm unknown encoding", body(`{"encoding":"cnf3"}`), "encoding"},
+		{"warm retired encoding", body(`{"encoding":"log"}`), "encoding"},
+		{"warm retired strategy log", body(`{"portfolio_strategies":["log"]}`), "strategy"},
+		{"warm retired strategy glue4", body(`{"portfolio_strategies":["canonical","glue4"]}`), "strategy"},
+		{"warm retired strategy no-symbreak", body(`{"portfolio_strategies":["no-symbreak"]}`), "strategy"},
+		{"warm unknown amo", body(`{"amo":"ladder"}`), "AMO"},
+	} {
+		for _, path := range []string{"/v1/solve", "/v1/jobs"} {
+			resp, err := http.Post(tc.ts.URL+path, "application/json", strings.NewReader(row.body))
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			var e wire.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || e.Code != wire.CodeBadRequest || !strings.Contains(e.Error, row.msg) {
+				t.Errorf("%s %s: status %d code %q %q (%v), want 400 %q naming the %s", row.name, path,
+					resp.StatusCode, e.Code, e.Error, err, wire.CodeBadRequest, row.msg)
+			}
+		}
+	}
+	resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", strings.NewReader(body(`{"encoding":"onehot"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf(`"encoding":"onehot" on a warm pattern: status %d, want 200`, resp.StatusCode)
+	}
+	if got := tc.gw.MetricsSnapshot().Cache.Local.Hits; got != hits+1 {
+		t.Errorf("local hits %d → %d: only the valid request may be answered from the cache", hits, got)
+	}
 }
 
 // TestGatewayOverCapBodyIs413 pins the gateway's body-size budget: a body
@@ -568,20 +617,26 @@ func TestGatewayOverCapBodyIs413(t *testing.T) {
 }
 
 func TestGatewayRelaysAuthoritativeBackendErrors(t *testing.T) {
-	tc := newTestCluster(t, 2, Config{})
-	// An unknown portfolio strategy passes the gateway untouched and is
-	// rejected by the shard; the gateway must relay the 400 and its body.
-	req := wire.SolveRequest{
-		Matrix:  "11\n01",
-		Options: &wire.SolveOptions{PortfolioStrategies: []string{"bogus"}},
+	// The backend's matrix budget is tighter than the gateway's, so the
+	// request passes the gateway's checks and is rejected by the shard; the
+	// gateway must relay the 400 and its body.
+	s := server.New(server.Config{MaxMatrixEntries: 2})
+	bts := httptest.NewServer(s.Handler())
+	t.Cleanup(bts.Close)
+	gw, err := New(Config{Backends: []string{bts.URL}, ProbeInterval: -1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, body := postJSON(t, tc.ts.URL+"/v1/solve", req)
+	t.Cleanup(gw.Close)
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	resp, body := postJSON(t, ts.URL+"/v1/solve", wire.SolveRequest{Matrix: "11\n01"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want relayed 400: %s", resp.StatusCode, body)
 	}
 	var e wire.ErrorResponse
-	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-		t.Fatalf("relayed 400 body not structured: %s", body)
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" || e.Code != wire.CodeBudgetExceeded {
+		t.Fatalf("relayed 400 body not the backend's structured error: %s", body)
 	}
 }
 

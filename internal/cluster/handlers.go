@@ -288,9 +288,12 @@ type gwError struct {
 	msg    string
 }
 
-// requestMatrix parses and size-checks one request's matrix. Dimensional
-// invalidity (ragged rows, zero dimensions) surfaces as CodeBadMatrix, an
-// oversize one as CodeBudgetExceeded — both 400, matching ebmfd.
+// requestMatrix parses and size-checks one request's matrix, then checks its
+// options. Dimensional invalidity (ragged rows, zero dimensions) surfaces as
+// CodeBadMatrix, an oversize one as CodeBudgetExceeded and an invalid option
+// as CodeBadRequest — all 400, in ebmfd's order, so a body gets the same
+// answer from either tier even when the gateway could serve it from its
+// local cache.
 func (g *Gateway) requestMatrix(req *wire.SolveRequest) (*bitmat.Matrix, *gwError) {
 	m, err := req.ParseMatrix()
 	if err != nil {
@@ -298,6 +301,9 @@ func (g *Gateway) requestMatrix(req *wire.SolveRequest) (*bitmat.Matrix, *gwErro
 	}
 	if m.Rows()*m.Cols() > g.cfg.MaxMatrixEntries {
 		return nil, &gwError{http.StatusBadRequest, wire.CodeBudgetExceeded, "matrix exceeds size limit"}
+	}
+	if err := req.Options.Validate(); err != nil {
+		return nil, &gwError{http.StatusBadRequest, wire.CodeBadRequest, err.Error()}
 	}
 	return m, nil
 }

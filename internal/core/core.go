@@ -43,16 +43,6 @@ import (
 	"repro/internal/sat"
 )
 
-// Encoding selects the CNF compilation of the depth-decision problem.
-type Encoding int
-
-const (
-	// EncodingOneHot is the direct slot encoding (default, fastest).
-	EncodingOneHot Encoding = iota
-	// EncodingLog is the bit-vector-flavoured encoding (ablation).
-	EncodingLog
-)
-
 // Certificate says why a result is known optimal.
 type Certificate int
 
@@ -85,9 +75,7 @@ func (c Certificate) String() string {
 type Options struct {
 	// Packing configures the row-packing heuristic stage.
 	Packing rowpack.Options
-	// Encoding selects the CNF compilation.
-	Encoding Encoding
-	// AMO selects the at-most-one encoding for the one-hot compilation.
+	// AMO selects the at-most-one encoding.
 	AMO encode.AMO
 	// SkipSAT stops after the heuristic stage (still reports lower bounds
 	// and certificates when the heuristic happens to match them).
@@ -143,10 +131,6 @@ type Options struct {
 	// database simplification (vivification + binary self-subsumption);
 	// kept as an ablation for the native-AMO/inprocessing PR.
 	DisableInprocessing bool
-	// LBDCap overrides the solver's glue-clause threshold: learnt clauses
-	// with literal-blocks-distance at or below the cap are never evicted by
-	// database reduction. 0 keeps the solver default (2).
-	LBDCap int
 	// Portfolio configures per-block strategy racing (internal/portfolio):
 	// K diverse solver configurations attack each block's depth decisions
 	// concurrently and the first verdict wins. Default off (Size ≤ 1) so
@@ -595,7 +579,7 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		return solveBlockPortfolio(ctx, blockIdx, m, opts, conflictBudget, deadline, res, best, lb)
 	}
 
-	enc := newEncoder(m, best.Depth()-1, opts)
+	enc := baseStrategy(opts).NewEncoder(m, best.Depth()-1)
 	s := enc.Solver()
 	s.SetInterrupt(func() bool { return ctx.Err() != nil })
 	defer s.SetInterrupt(nil)
@@ -710,7 +694,7 @@ func solveBlockPortfolio(ctx context.Context, blockIdx int, m *bitmat.Matrix, op
 		// silently loses a result it paid for. Deadline and cancellation
 		// still apply — exactly the situations where the sequential solver
 		// would also return without this depth.
-		enc := newEncoder(m, out.BestBound, opts)
+		enc := baseStrategy(opts).NewEncoder(m, out.BestBound)
 		s := enc.Solver()
 		s.SetInterrupt(func() bool { return ctx.Err() != nil })
 		defer s.SetInterrupt(nil)
@@ -752,58 +736,30 @@ func solveBlockPortfolio(ctx context.Context, blockIdx int, m *bitmat.Matrix, op
 	return res, nil
 }
 
+// baseStrategy maps the single-strategy options onto a portfolio strategy:
+// the configuration of core's sequential narrowing loop, of racer 0 and of
+// the re-derivation solve, so the three cannot drift apart.
+func baseStrategy(opts Options) portfolio.Strategy {
+	st := portfolio.Canonical()
+	st.AMO = opts.AMO
+	st.Destructive = opts.DisableIncremental
+	st.NoSymmetryBreaking = opts.DisableSymmetryBreaking
+	st.Solver.PhaseSaving = !opts.DisablePhaseSaving
+	st.Solver.Inprocess = !opts.DisableInprocessing
+	return st
+}
+
 // resolveStrategies builds the racing set for one block: the canonical
-// strategy mirrors the single-strategy options (so racer 0 is exactly the
-// solver a non-racing Solve would run), and the companions come either from
-// the explicitly named list or from the default diverse pool seeded by the
-// block's fingerprint.
+// strategy is baseStrategy (so racer 0 is exactly the solver a non-racing
+// Solve would run), and the companions come either from the explicitly
+// named list or from the default diverse pool seeded by the block's
+// fingerprint.
 func resolveStrategies(m *bitmat.Matrix, opts Options) ([]portfolio.Strategy, error) {
-	base := portfolio.Strategy{
-		Name:               "canonical",
-		AMO:                opts.AMO,
-		Destructive:        opts.DisableIncremental,
-		NoSymmetryBreaking: opts.DisableSymmetryBreaking,
-		Solver:             sat.DefaultConfig(),
-	}
-	if opts.Encoding == EncodingLog {
-		base.Encoding = portfolio.EncodingLog
-	}
-	base.Solver.PhaseSaving = !opts.DisablePhaseSaving
-	base.Solver.Inprocess = !opts.DisableInprocessing
-	if opts.LBDCap > 0 {
-		base.Solver.LBDCap = opts.LBDCap
-	}
+	base := baseStrategy(opts)
 	if names := opts.Portfolio.Strategies; len(names) > 0 {
 		return portfolio.Resolve(base, names)
 	}
 	return portfolio.DefaultStrategies(base, opts.Portfolio.Size, portfolio.Seed(m)), nil
-}
-
-// newEncoder builds the configured encoder at bound b. The default is the
-// incremental (selector-assumption) variant, encoded once at the heuristic
-// upper bound and narrowed via assumptions; the solver knobs from opts are
-// applied to the fresh solver.
-func newEncoder(m *bitmat.Matrix, b int, opts Options) encode.Encoder {
-	var enc encode.Encoder
-	switch {
-	case opts.Encoding == EncodingLog && opts.DisableIncremental:
-		enc = encode.NewLog(m, b)
-	case opts.Encoding == EncodingLog:
-		enc = encode.NewLogIncremental(m, b)
-	default:
-		enc = encode.NewOneHotConfig(m, b, encode.OneHotConfig{
-			AMO:                 opts.AMO,
-			Incremental:         !opts.DisableIncremental,
-			DisableSlotOrdering: opts.DisableSymmetryBreaking,
-		})
-	}
-	s := enc.Solver()
-	s.PhaseSaving = !opts.DisablePhaseSaving
-	s.Inprocess = !opts.DisableInprocessing
-	if opts.LBDCap > 0 {
-		s.LBDCap = opts.LBDCap
-	}
-	return enc
 }
 
 // installProgress wires the solver's sampled search telemetry into the

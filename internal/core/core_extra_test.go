@@ -10,22 +10,6 @@ import (
 	"repro/internal/encode"
 )
 
-func TestSolveLogEncodingFullLoop(t *testing.T) {
-	// Exercise the log-encoder path through the whole SAP loop including an
-	// UNSAT finish.
-	m := bitmat.MustParse("11000\n00110\n01100\n10011\n11111")
-	opts := fastOptions()
-	opts.Encoding = EncodingLog
-	opts.FoolingBudget = 0
-	res, err := Solve(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Optimal || res.Depth != 4 {
-		t.Fatalf("log encoding: depth=%d optimal=%v", res.Depth, res.Optimal)
-	}
-}
-
 func TestSolveChunkedBudgetLoop(t *testing.T) {
 	// A conflict budget larger than one chunk but finite exercises the
 	// chunked solveWithBudgets loop (chunk size is 20k).

@@ -9,37 +9,33 @@ import (
 
 // TestIncrementalAblationSameDepths: the selector-assumption SAP loop and
 // the destructive re-constraining loop must find identical depths and
-// certificates on random instances, for both encodings.
+// certificates on random instances.
 func TestIncrementalAblationSameDepths(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 20; trial++ {
 		m := bitmat.Random(rng, 4+rng.Intn(3), 4+rng.Intn(3), 0.45)
-		for _, encoding := range []Encoding{EncodingOneHot, EncodingLog} {
-			base := DefaultOptions()
-			base.Encoding = encoding
-			base.FoolingBudget = 0
+		base := DefaultOptions()
+		base.FoolingBudget = 0
 
-			inc := base
-			res1, err := Solve(m, inc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dis := base
-			dis.DisableIncremental = true
-			res2, err := Solve(m, dis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res1.Depth != res2.Depth || res1.Optimal != res2.Optimal {
-				t.Fatalf("trial %d enc=%v: incremental depth=%d opt=%v vs destructive depth=%d opt=%v for\n%s",
-					trial, encoding, res1.Depth, res1.Optimal, res2.Depth, res2.Optimal, m)
-			}
+		res1, err := Solve(m, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dis := base
+		dis.DisableIncremental = true
+		res2, err := Solve(m, dis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res1.Depth != res2.Depth || res1.Optimal != res2.Optimal {
+			t.Fatalf("trial %d: incremental depth=%d opt=%v vs destructive depth=%d opt=%v for\n%s",
+				trial, res1.Depth, res1.Optimal, res2.Depth, res2.Optimal, m)
 		}
 	}
 }
 
-// TestSolverKnobsDoNotChangeDepths: phase saving and LBD cap are heuristics;
-// flipping them must not change results.
+// TestSolverKnobsDoNotChangeDepths: phase saving and inprocessing are
+// heuristics; flipping them must not change results.
 func TestSolverKnobsDoNotChangeDepths(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 12; trial++ {
@@ -50,7 +46,7 @@ func TestSolverKnobsDoNotChangeDepths(t *testing.T) {
 		}
 		for _, opts := range []Options{
 			func() Options { o := DefaultOptions(); o.DisablePhaseSaving = true; return o }(),
-			func() Options { o := DefaultOptions(); o.LBDCap = 5; return o }(),
+			func() Options { o := DefaultOptions(); o.DisableInprocessing = true; return o }(),
 		} {
 			res, err := Solve(m, opts)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/benchgen"
 	"repro/internal/bitmat"
+	"repro/internal/encode"
 	"repro/internal/portfolio"
 )
 
@@ -212,12 +213,17 @@ func TestPortfolioTimeBudget(t *testing.T) {
 
 // TestResolveStrategiesBaseMirrorsOptions: racer 0 must inherit the
 // single-strategy knobs, so "canonical" in a race is exactly the solver a
-// non-racing Solve would run.
+// non-racing Solve would run, and the default options map to Canonical.
 func TestResolveStrategiesBaseMirrorsOptions(t *testing.T) {
+	if got := baseStrategy(DefaultOptions()); got != portfolio.Canonical() {
+		t.Fatalf("default options map to %+v, want Canonical %+v", got, portfolio.Canonical())
+	}
 	opts := DefaultOptions()
-	opts.Encoding = EncodingLog
+	opts.AMO = encode.AMOSequential
+	opts.DisableIncremental = true
+	opts.DisableSymmetryBreaking = true
 	opts.DisablePhaseSaving = true
-	opts.LBDCap = 5
+	opts.DisableInprocessing = true
 	opts.Portfolio.Size = 3
 	m := bitmat.MustParse("11\n01")
 	sts, err := resolveStrategies(m, opts)
@@ -225,8 +231,8 @@ func TestResolveStrategiesBaseMirrorsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := sts[0]
-	if base.Name != "canonical" || base.Encoding != portfolio.EncodingLog ||
-		base.Solver.PhaseSaving || base.Solver.LBDCap != 5 {
+	if base.Name != "canonical" || base.AMO != encode.AMOSequential || !base.Destructive ||
+		!base.NoSymmetryBreaking || base.Solver.PhaseSaving || base.Solver.Inprocess {
 		t.Fatalf("base strategy does not mirror options: %+v", base)
 	}
 }

@@ -8,16 +8,16 @@
 //	f(i,j) ≠ f(i',j')                      if M[i][j'] = 0
 //	f(i,j) = f(i',j') ⇒ f(i,j) = f(i,j')   if M[i][j'] = 1
 //
-// Two CNF compilations are provided:
+// The compilation is one-hot: x[e][k] ⇔ entry e is assigned rectangle k,
+// with exactly-one-per-entry constraints, closure clauses per rectangle
+// slot, and slot-ordering symmetry breaking. Narrowing the bound from b to
+// b-1 is adding the unit clauses ¬x[e][b-1] (or, in the incremental
+// variant, assuming a slot selector false), mirroring the paper's
+// narrow_down_depth step.
 //
-//   - OneHot (default): x[e][k] ⇔ entry e is assigned rectangle k, with
-//     exactly-one-per-entry constraints, closure clauses per rectangle slot,
-//     and first-occurrence symmetry breaking. Narrowing the bound from b to
-//     b-1 is adding the unit clauses ¬x[e][b-1], mirroring the paper's
-//     narrow_down_depth step.
-//
-//   - Log: f(e) as a ⌈log₂ b⌉-bit vector per entry, closest to the paper's
-//     bit-vector story; kept as an ablation (it propagates worse).
+// The paper's bit-vector reading of f, a ⌈log₂ b⌉-bit word per entry, never
+// beat the one-hot compilation on any committed instance, so it is not
+// compiled (DESIGN.md §3).
 package encode
 
 import (
@@ -71,9 +71,8 @@ func ParseAMO(name string) (AMO, error) {
 	return AMONative, fmt.Errorf("encode: unknown AMO mode %q (valid: native, pairwise, sequential)", name)
 }
 
-// Encoder is the common interface of the two compilations. A fresh encoder
-// is built at the row-packing upper bound; the SAP loop then alternates
-// Solve and Narrow.
+// Encoder is the interface the SAP loop drives. A fresh encoder is built at
+// the row-packing upper bound; the loop then alternates Solve and Narrow.
 type Encoder interface {
 	// Bound returns the current rectangle budget b.
 	Bound() int
@@ -93,7 +92,7 @@ type Encoder interface {
 	// bound, regardless of AMO encoding, symmetry breaking or incremental
 	// mode. Learnt clauses mentioning only variables below this count may
 	// soundly be exchanged between such encoders (portfolio clause
-	// sharing). 0 means the encoding exposes no shareable variable space.
+	// sharing).
 	CoreVars() int
 }
 

@@ -58,23 +58,6 @@ func TestIncrementalOneHotMatchesDestructive(t *testing.T) {
 	}
 }
 
-func TestIncrementalLogMatchesDestructive(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 25; trial++ {
-		m := bitmat.Random(rng, 3+rng.Intn(3), 3+rng.Intn(3), 0.5)
-		if m.Ones() == 0 {
-			continue
-		}
-		ub := m.TrivialUpperBound()
-		runNarrowingPair(t, m, func(incremental bool) Encoder {
-			if incremental {
-				return NewLogIncremental(m, ub)
-			}
-			return NewLog(m, ub)
-		})
-	}
-}
-
 // TestIncrementalSolveAtUsesSelectors: probing an incremental formula at
 // several bounds must match fresh formulas, and the probes must not damage
 // the formula (assumptions are transient).

@@ -1,0 +1,165 @@
+package eval
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/benchgen"
+	"repro/internal/bitmat"
+	"repro/internal/core"
+	"repro/internal/portfolio"
+	"repro/internal/sat"
+)
+
+// The solver-work pins: for each committed suite on the default solve path,
+// the summed depth, SAT conflicts and SAT calls, plus a SHA-256 over every
+// partition as index lists. All of them repeat exactly per input, so a
+// change that means to leave the search alone (a refactor, a deleted
+// ablation) must leave every value here unchanged, and a change that means
+// to move the search states its new values in review.
+//
+// Reproduce one row: go test -count=1 -run TestSolverWorkPins -v ./internal/eval/
+
+// workPin is one suite's expected totals.
+type workPin struct {
+	name      string
+	ms        func() []*bitmat.Matrix
+	opts      func() core.Options
+	depth     int
+	conflicts int64
+	satCalls  int
+	optimal   int // instances proved optimal
+	sha       string
+}
+
+func foolingOff() core.Options {
+	opts := core.DefaultOptions()
+	opts.FoolingBudget = 0
+	return opts
+}
+
+func matrices(suite []benchgen.Instance) []*bitmat.Matrix {
+	ms := make([]*bitmat.Matrix, len(suite))
+	for i, ins := range suite {
+		ms[i] = ins.M
+	}
+	return ms
+}
+
+// paperSuitesSmall is PaperSuites(2024, 2, 10) without the 100×100 cell
+// (too large for the exact stage), in Table I row order.
+func paperSuitesSmall() []*bitmat.Matrix {
+	suites := PaperSuites(2024, 2, 10)
+	var ms []*bitmat.Matrix
+	for _, name := range SuiteOrder() {
+		if name == "100x100, rand" {
+			continue
+		}
+		ms = append(ms, matrices(suites[name])...)
+	}
+	return ms
+}
+
+func solverWorkPins() []workPin {
+	return []workPin{
+		{
+			name: "table-i-gap", ms: GapSuiteMatrices, opts: TableIGapSAPOptions,
+			depth: 141, conflicts: 887, satCalls: 4, optimal: 20,
+			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
+		},
+		{
+			name: "blockdiag-decomposed", ms: BlockDiagSAPMatrices,
+			opts:  func() core.Options { return BlockDiagSAPOptions(true) },
+			depth: 75, conflicts: 141, satCalls: 1, optimal: 3,
+			sha: "a175b932e75a2cf99776824d45fce5055f9755222fb450f945ae6e64e8c086db",
+		},
+		{
+			name: "blockdiag-whole", ms: BlockDiagSAPMatrices,
+			opts:  func() core.Options { return BlockDiagSAPOptions(false) },
+			depth: 75, conflicts: 11_708, satCalls: 1, optimal: 3,
+			sha: "c474c8b20ab9f8cfa9d618b3f5c66cc72eda470202dfdeb5a17f141620caae17",
+		},
+		{
+			name: "gap-12x12-p3",
+			ms:   func() []*bitmat.Matrix { return matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4)) },
+			opts: foolingOff, depth: 43, conflicts: 4_233, satCalls: 3, optimal: 4,
+			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
+		},
+		{
+			name: "paper-suites-small", ms: paperSuitesSmall,
+			opts: func() core.Options {
+				opts := foolingOff()
+				opts.ConflictBudget = 200_000
+				return opts
+			},
+			depth: 886, conflicts: 1_595, satCalls: 9, optimal: 114,
+			sha: "c863bc0aa8e6b044dee1898fd44e9d65ae6025ede6f41aa3d931621eeebb7d71",
+		},
+	}
+}
+
+// partitionDigest hashes partitions as "rows|cols;" index lists, one line
+// per matrix, in suite order.
+func partitionDigest(results []*core.Result) string {
+	h := sha256.New()
+	for _, res := range results {
+		for _, r := range res.Partition.Rects {
+			fmt.Fprintf(h, "%v|%v;", r.RowIndices(), r.ColIndices())
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSolverWorkPins solves every pinned suite and compares the totals.
+func TestSolverWorkPins(t *testing.T) {
+	for _, pin := range solverWorkPins() {
+		t.Run(pin.name, func(t *testing.T) {
+			opts := pin.opts()
+			var (
+				depth, calls, optimal int
+				conflicts             int64
+				results               []*core.Result
+			)
+			for i, m := range pin.ms() {
+				res, err := core.Solve(m, opts)
+				if err != nil {
+					t.Fatalf("instance %d: %v", i, err)
+				}
+				depth += res.Depth
+				conflicts += res.Conflicts
+				calls += res.SATCalls
+				if res.Optimal {
+					optimal++
+				}
+				results = append(results, res)
+			}
+			sha := partitionDigest(results)
+			t.Logf("%d instances: depth %d, conflicts %d, SAT calls %d, optimal %d, partitions %s",
+				len(results), depth, conflicts, calls, optimal, sha)
+			if depth != pin.depth || conflicts != pin.conflicts || calls != pin.satCalls || optimal != pin.optimal {
+				t.Errorf("depth/conflicts/calls/optimal = %d/%d/%d/%d, pinned %d/%d/%d/%d",
+					depth, conflicts, calls, optimal, pin.depth, pin.conflicts, pin.satCalls, pin.optimal)
+			}
+			if sha != pin.sha {
+				t.Errorf("partition digest %s, pinned %s", sha, pin.sha)
+			}
+		})
+	}
+}
+
+// TestFig1bDecisionPin pins the default encoder's work on the paper's
+// Figure 1b pattern at bound 4, one below its optimum of 5. (Solve itself
+// proves Fig. 1b by its fooling set, without SAT.)
+func TestFig1bDecisionPin(t *testing.T) {
+	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
+	enc := portfolio.Canonical().NewEncoder(m, 4)
+	if st := enc.Solve(); st != sat.Unsat {
+		t.Fatalf("status %v, want UNSAT", st)
+	}
+	if got := enc.Solver().Conflicts; got != 10 {
+		t.Errorf("conflicts %d, pinned 10", got)
+	}
+}

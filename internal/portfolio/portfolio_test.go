@@ -52,10 +52,12 @@ func TestDefaultStrategiesDeterministic(t *testing.T) {
 		}
 		seen[st.Name] = true
 	}
-	// A different seed may reorder the companions.
-	c := DefaultStrategies(base, 9, 7)
-	if len(c) != 9 {
-		t.Fatalf("k beyond the pool should clamp to pool+1, got %d", len(c))
+	// A different seed may reorder the companions. k beyond the pool clamps
+	// to every name except native-amo, which is skipped as a clone of the
+	// canonical base.
+	c := DefaultStrategies(base, len(Names())+2, 7)
+	if len(c) != len(Names())-1 {
+		t.Fatalf("k beyond the pool should clamp to %d, got %d", len(Names())-1, len(c))
 	}
 }
 
@@ -235,9 +237,8 @@ func TestRaceDeadline(t *testing.T) {
 // soundness on every test that races).
 func TestRaceSharingTraffic(t *testing.T) {
 	m := fig1b(t)
-	// Pin an all-one-hot set (every racer has CoreVars > 0 and therefore a
-	// sharing hook): the default shuffle may draw the log encoder, which
-	// shares nothing and can win this tiny round before the sharers learn.
+	// Pin the set rather than draw it from the default shuffle, so the
+	// racers of this round do not move when the pool changes.
 	sts, err := Resolve(Canonical(), []string{"canonical", "pairwise-amo", "seq-amo", "destructive"})
 	if err != nil {
 		t.Fatal(err)

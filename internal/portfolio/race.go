@@ -134,7 +134,7 @@ func Race(ctx context.Context, spec RaceSpec) *Outcome {
 
 	var ex *Exchange
 	attachHook := func(r *racer) {
-		if !spec.ShareClauses || r.enc.CoreVars() == 0 {
+		if !spec.ShareClauses {
 			return
 		}
 		if ex == nil {

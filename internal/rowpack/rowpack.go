@@ -1,7 +1,6 @@
 // Package rowpack implements the paper's row-packing heuristic (Algorithm 2)
 // for exact binary matrix factorization, the trivial row/column heuristic,
-// and ablation variants (no basis update, popcount-sorted order, DLX-based
-// exact-cover packing).
+// and ablation variants (no basis update, popcount-sorted order).
 //
 // Row packing processes the matrix row by row, maintaining a basis of
 // disjoint column patterns, one per rectangle. Each row is greedily
@@ -17,7 +16,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bitmat"
-	"repro/internal/exactcover"
 	"repro/internal/rect"
 )
 
@@ -46,9 +44,6 @@ type Options struct {
 	// DisableBasisUpdate skips lines 9–16 of Algorithm 2 (basis shrinking);
 	// ablation only, the paper keeps the update on.
 	DisableBasisUpdate bool
-	// UseDLX decomposes each row by exact cover over the basis (Algorithm X)
-	// instead of greedy in-order subtraction — the paper's future-work idea.
-	UseDLX bool
 	// SkipTranspose disables the run on the transposed matrix.
 	SkipTranspose bool
 }
@@ -175,11 +170,6 @@ func packOnce(m *bitmat.Matrix, perm []int, opts Options) *rect.Partition {
 		if ri.IsZero() {
 			continue
 		}
-		if opts.UseDLX {
-			if covered := dlxDecompose(ri, basis, p, i); covered {
-				continue
-			}
-		}
 		// Lines 4–7: greedy in-order subtraction of contained basis vectors.
 		for j, vj := range basis {
 			if vj.IsZero() || !vj.SubsetOf(ri) {
@@ -214,45 +204,6 @@ func packOnce(m *bitmat.Matrix, perm []int, opts Options) *rect.Partition {
 		p.Add(nr)
 	}
 	return p
-}
-
-// dlxDecompose tries to decompose row ri exactly into existing basis vectors
-// using Algorithm X. On success it grows the matching rectangles and returns
-// true; otherwise it leaves the state untouched and returns false so the
-// caller falls back to greedy packing.
-func dlxDecompose(ri bitmat.Vec, basis []bitmat.Vec, p *rect.Partition, row int) bool {
-	ones := ri.OnesPositions()
-	if len(ones) == 0 || len(basis) == 0 {
-		return false
-	}
-	colIdx := make(map[int]int, len(ones))
-	for ci, c := range ones {
-		colIdx[c] = ci
-	}
-	prob := exactcover.NewProblem(len(ones))
-	rowToBasis := []int{}
-	any := false
-	for k, vk := range basis {
-		if vk.IsZero() || !vk.SubsetOf(ri) {
-			continue
-		}
-		cols := []int{}
-		vk.ForEachOne(func(c int) { cols = append(cols, colIdx[c]) })
-		prob.AddRow(cols)
-		rowToBasis = append(rowToBasis, k)
-		any = true
-	}
-	if !any {
-		return false
-	}
-	sol, ok := prob.FirstSolution()
-	if !ok {
-		return false
-	}
-	for _, r := range sol {
-		p.Rects[rowToBasis[r]].Rows.Set(row, true)
-	}
-	return true
 }
 
 // transposePartition converts a partition of mᵀ into a partition of m by

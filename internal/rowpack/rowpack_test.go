@@ -134,7 +134,6 @@ func TestVariantsAllValid(t *testing.T) {
 		{Trials: 5, Seed: 3},
 		{Trials: 5, Seed: 3, DisableBasisUpdate: true},
 		{Trials: 1, Order: OrderSortedAsc},
-		{Trials: 5, Seed: 3, UseDLX: true},
 		{Trials: 5, Seed: 3, SkipTranspose: true},
 	}
 	for trial := 0; trial < 15; trial++ {
@@ -145,23 +144,6 @@ func TestVariantsAllValid(t *testing.T) {
 				t.Fatalf("variant %d invalid: %v\n%s", vi, err, m)
 			}
 		}
-	}
-}
-
-func TestDLXVariantHandlesObservation4(t *testing.T) {
-	// Observation 4: plain row packing introduces at most one new basis
-	// vector per row, so orders requiring multi-vector recombination fail.
-	// The DLX variant finds exact covers the greedy order misses. We verify
-	// on Figure 3's matrix that DLX with identity order still packs r4
-	// exactly (r4 = r2 + r3 is findable by exact cover even though the
-	// greedy order picks v0, v1 first).
-	m := bitmat.MustParse(fig3)
-	p := Pack(m, Options{Trials: 1, Order: OrderIdentity, UseDLX: true, SkipTranspose: true})
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Depth() != 4 {
-		t.Fatalf("DLX identity depth = %d, want 4", p.Depth())
 	}
 }
 

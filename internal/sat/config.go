@@ -1,17 +1,12 @@
 package sat
 
-// Config collects the solver's tunable search heuristics in one value, so
-// callers that build families of differently-configured solvers (the
-// portfolio racer, the ablation benches) can describe a configuration as
-// data instead of a sequence of field pokes. The fields mirror the exported
-// knobs on Solver; NewWithConfig applies them to a fresh solver.
+// Config collects the search heuristics a portfolio racer varies, so a
+// family of differently-configured solvers can be described as data
+// instead of a sequence of field pokes. The fields mirror the exported
+// knobs on Solver.
 type Config struct {
-	// DeepMinimize enables recursive learnt-clause minimization.
-	DeepMinimize bool
 	// PhaseSaving reuses each variable's last polarity on decisions.
 	PhaseSaving bool
-	// LBDCap is the glue threshold for reduceDB retention (0 = default 2).
-	LBDCap int
 	// LubyRestarts switches from Glucose LBD restarts to the Luby sequence.
 	LubyRestarts bool
 	// Inprocess enables between-restart clause vivification and binary
@@ -19,39 +14,16 @@ type Config struct {
 	Inprocess bool
 }
 
-// DefaultConfig is the configuration New uses: deep minimization, phase
-// saving, glue cap 2, Glucose restarts, inprocessing on.
+// DefaultConfig is the configuration New uses: phase saving, Glucose
+// restarts, inprocessing on.
 func DefaultConfig() Config {
-	return Config{DeepMinimize: true, PhaseSaving: true, LBDCap: 2, Inprocess: true}
+	return Config{PhaseSaving: true, Inprocess: true}
 }
 
 // ApplyTo writes the configuration onto an existing solver (the way the
-// portfolio racer configures the solver an encoder already built). LBDCap 0
-// keeps the solver's current cap.
+// portfolio racer configures the solver an encoder already built).
 func (cfg Config) ApplyTo(s *Solver) {
-	s.DeepMinimize = cfg.DeepMinimize
 	s.PhaseSaving = cfg.PhaseSaving
-	if cfg.LBDCap > 0 {
-		s.LBDCap = cfg.LBDCap
-	}
 	s.LubyRestarts = cfg.LubyRestarts
 	s.Inprocess = cfg.Inprocess
-}
-
-// NewWithConfig returns an empty solver with the given heuristics.
-func NewWithConfig(cfg Config) *Solver {
-	s := New()
-	cfg.ApplyTo(s)
-	return s
-}
-
-// ConfigOf snapshots a solver's current heuristic configuration.
-func ConfigOf(s *Solver) Config {
-	return Config{
-		DeepMinimize: s.DeepMinimize,
-		PhaseSaving:  s.PhaseSaving,
-		LBDCap:       s.LBDCap,
-		LubyRestarts: s.LubyRestarts,
-		Inprocess:    s.Inprocess,
-	}
 }

@@ -2,16 +2,24 @@ package sat
 
 import "testing"
 
-// TestConfigRoundTrip: NewWithConfig applies every knob and ConfigOf reads
-// them back.
+// TestConfigRoundTrip: ApplyTo sets every knob, and New's knobs equal
+// DefaultConfig — the portfolio's canonical strategy and core's sequential
+// loop both rely on the latter to build the same solver.
 func TestConfigRoundTrip(t *testing.T) {
-	cfg := Config{DeepMinimize: false, PhaseSaving: false, LBDCap: 4, LubyRestarts: true}
-	s := NewWithConfig(cfg)
-	if got := ConfigOf(s); got != cfg {
-		t.Fatalf("ConfigOf = %+v, want %+v", got, cfg)
+	knobs := func(s *Solver) Config {
+		return Config{PhaseSaving: s.PhaseSaving, LubyRestarts: s.LubyRestarts, Inprocess: s.Inprocess}
 	}
-	if def := ConfigOf(New()); def != DefaultConfig() {
+	cfg := Config{PhaseSaving: false, LubyRestarts: true, Inprocess: false}
+	s := New()
+	cfg.ApplyTo(s)
+	if got := knobs(s); got != cfg {
+		t.Fatalf("after ApplyTo = %+v, want %+v", got, cfg)
+	}
+	if def := knobs(New()); def != DefaultConfig() {
 		t.Fatalf("New() config = %+v, want DefaultConfig %+v", def, DefaultConfig())
+	}
+	if !New().DeepMinimize {
+		t.Fatal("New() must minimize learnt clauses recursively")
 	}
 }
 

@@ -85,9 +85,6 @@ type Solver struct {
 	// backtracking and reuses it on the next decision (default on; switch
 	// off for the ablation).
 	PhaseSaving bool
-	// LBDCap is the literal-blocks-distance at or below which a learnt
-	// clause is always retained by reduceDB ("glue" clauses). Default 2.
-	LBDCap int
 	// LubyRestarts switches from the default Glucose-style LBD-driven
 	// restarts back to the Luby sequence (ablation).
 	LubyRestarts bool
@@ -133,7 +130,6 @@ func New() *Solver {
 		budgetConflicts: -1,
 		DeepMinimize:    true,
 		PhaseSaving:     true,
-		LBDCap:          2,
 		Inprocess:       true,
 		lvlStamp:        make([]int64, 1),
 	}
@@ -372,7 +368,7 @@ func (s *Solver) prepareClause(lits []Lit) (out []Lit, keep bool) {
 // clause sharing). The caller is responsible for the clause being an
 // implicate of a formula equisatisfiable with this solver's; the clause
 // lands in the learnt database, so reduceDB may evict it like any other
-// learnt clause (shared clauses at or below LBDCap are glue and survive).
+// learnt clause (shared clauses at or below glueLBD are glue and survive).
 // It reports whether the clause added any new information (false for
 // tautologies, root-satisfied clauses, and solvers already unsat). Importing
 // is refused while DRAT logging is active: a foreign clause is not derivable
@@ -851,9 +847,17 @@ func (s *Solver) recordLearnt(lits []Lit, lbd int) {
 	s.enqueue(lits[0], c)
 }
 
+// glueLBD is the literal-blocks distance at or below which reduceDB always
+// keeps a learnt clause ("glue"). It is a constant, not a knob: reduceDB
+// sorts by LBD and keeps the better half anyway, so any cap matters only
+// once more than half the database sits at or below it. Caps 2, 3, 4 and 6
+// spent identical conflicts on every finished instance of the committed
+// suites (DESIGN.md §2).
+const glueLBD = 2
+
 // reduceDB removes roughly half of the learnt clauses. Clauses are ranked by
 // LBD first (Glucose), clause activity second; binary clauses, glue clauses
-// (LBD ≤ LBDCap) and reason clauses are always kept.
+// (LBD ≤ glueLBD) and reason clauses are always kept.
 func (s *Solver) reduceDB() {
 	ca := &s.ca
 	sort.Slice(s.learnts, func(i, j int) bool {
@@ -869,7 +873,7 @@ func (s *Solver) reduceDB() {
 	}
 	kept := s.learnts[:0]
 	for i, c := range s.learnts {
-		if ca.size(c) <= 2 || ca.lbd(c) <= s.LBDCap || locked(c) || i < len(s.learnts)/2 {
+		if ca.size(c) <= 2 || ca.lbd(c) <= glueLBD || locked(c) || i < len(s.learnts)/2 {
 			kept = append(kept, c)
 		} else {
 			s.proofBuf = ca.appendLits(s.proofBuf[:0], c)

@@ -154,6 +154,11 @@ func TestSolveBadRequests(t *testing.T) {
 		{"non-binary rows", `{"rows":[[1,2]]}`, http.StatusBadRequest, wire.CodeBadMatrix},
 		{"unknown field", `{"matrecks":"1"}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"bad encoding", `{"matrix":"1","options":{"encoding":"cnf3"}}`, http.StatusBadRequest, wire.CodeBadRequest},
+		// Retired option values decode like unknown ones.
+		{"retired encoding log", `{"matrix":"1","options":{"encoding":"log"}}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"retired strategy log", `{"matrix":"1","options":{"portfolio_strategies":["log"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"retired strategy glue4", `{"matrix":"1","options":{"portfolio_strategies":["glue4"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"retired strategy no-symbreak", `{"matrix":"1","options":{"portfolio_strategies":["canonical","no-symbreak"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest, wire.CodeBudgetExceeded},
 		{"not json", `hello`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"trailing junk", `{"matrix":"101\n011"} trailing junk`, http.StatusBadRequest, wire.CodeBadRequest},
@@ -179,6 +184,15 @@ func TestSolveBadRequests(t *testing.T) {
 		if e.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, e.Code, tc.code)
 		}
+	}
+	// "onehot", the one encoding left, is still accepted.
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(`{"matrix":"1","options":{"encoding":"onehot"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf(`"encoding":"onehot": status %d, want 200`, resp.StatusCode)
 	}
 }
 

@@ -34,6 +34,13 @@
 //     ends.
 //   - Semantic changes — repurposed fields, changed defaults, removed
 //     endpoints — require bumping V. There has been no such change yet.
+//   - Option values may be retired within a version when the configuration
+//     they name is deleted. A retired value decodes like any unknown value:
+//     a 400 bad_request at every tier, including a gateway that could answer
+//     from its cache, never a silent fallback. Retired so far: the encoding
+//     "log" and the portfolio strategies "log", "glue4" and "no-symbreak"
+//     (none ever beat the default on the committed suites). The "encoding"
+//     field itself stays and accepts "onehot".
 //
 // # Error envelope
 //
@@ -88,7 +95,8 @@ type SolveRequest struct {
 type SolveOptions struct {
 	// Trials overrides the row-packing trial count.
 	Trials int `json:"trials,omitempty"`
-	// Encoding selects the CNF compilation: "onehot" (default) or "log".
+	// Encoding names the CNF compilation. "onehot", the only one, is
+	// accepted so that clients which always send it keep working.
 	Encoding string `json:"encoding,omitempty"`
 	// AMO selects the at-most-one handling of the one-hot compilation:
 	// "native" (default — the solver's built-in propagator), "pairwise" or
@@ -153,6 +161,14 @@ func (r *SolveRequest) ParseMatrix() (*bitmat.Matrix, error) {
 	}
 }
 
+// Validate reports the error Apply would return for these options — the
+// check a tier that answers without solving (a gateway cache hit) still owes
+// the request.
+func (o *SolveOptions) Validate() error {
+	_, _, err := o.Apply(core.Options{})
+	return err
+}
+
 // Apply overlays the wire options onto a base configuration and returns the
 // effective core options plus the requested timeout (0 = none requested).
 func (o *SolveOptions) Apply(base core.Options) (core.Options, time.Duration, error) {
@@ -163,13 +179,7 @@ func (o *SolveOptions) Apply(base core.Options) (core.Options, time.Duration, er
 	if o.Trials > 0 {
 		opts.Packing.Trials = o.Trials
 	}
-	switch o.Encoding {
-	case "": // keep the base configuration's encoding
-	case "onehot":
-		opts.Encoding = core.EncodingOneHot
-	case "log":
-		opts.Encoding = core.EncodingLog
-	default:
+	if o.Encoding != "" && o.Encoding != "onehot" {
 		return opts, 0, fmt.Errorf("wire: unknown encoding %q", o.Encoding)
 	}
 	if o.AMO != "" {

@@ -67,7 +67,7 @@ func TestRoundTripEveryWireType(t *testing.T) {
 			Matrix: "1",
 			Options: &SolveOptions{
 				Trials:              40,
-				Encoding:            "log",
+				Encoding:            "onehot",
 				ConflictBudget:      -1,
 				TimeoutMS:           250,
 				Heuristic:           true,
@@ -202,19 +202,37 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 	base := core.DefaultOptions()
 	opts, timeout, err := (&SolveOptions{
 		Trials:    7,
-		Encoding:  "log",
+		Encoding:  "onehot",
 		TimeoutMS: 1500,
 		Portfolio: 3,
 	}).Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Packing.Trials != 7 || opts.Encoding != core.EncodingLog ||
-		opts.Portfolio.Size != 3 || timeout.Milliseconds() != 1500 {
+	if opts.Packing.Trials != 7 || opts.Portfolio.Size != 3 || timeout.Milliseconds() != 1500 {
 		t.Fatalf("overlay lost fields: %+v timeout=%v", opts, timeout)
 	}
-	if _, _, err := (&SolveOptions{Encoding: "cnf3"}).Apply(base); err == nil {
-		t.Fatalf("unknown encoding accepted")
+	// Unknown and retired values are errors, from Apply and Validate alike.
+	for _, o := range []*SolveOptions{
+		{Encoding: "cnf3"},
+		{Encoding: "log"},
+		{PortfolioStrategies: []string{"log"}},
+		{PortfolioStrategies: []string{"glue4"}},
+		{PortfolioStrategies: []string{"canonical", "no-symbreak"}},
+		{AMO: "ladder"},
+	} {
+		if _, _, err := o.Apply(base); err == nil {
+			t.Fatalf("%+v accepted by Apply", o)
+		}
+		if o.Validate() == nil {
+			t.Fatalf("%+v accepted by Validate", o)
+		}
+	}
+	if err := (&SolveOptions{Encoding: "onehot", AMO: "pairwise", PortfolioStrategies: []string{"luby"}}).Validate(); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	if err := (*SolveOptions)(nil).Validate(); err != nil {
+		t.Fatalf("nil options rejected: %v", err)
 	}
 	if _, _, err := (&SolveOptions{PortfolioStrategies: []string{"bogus"}}).Apply(base); err == nil {
 		t.Fatalf("unknown portfolio strategy accepted")

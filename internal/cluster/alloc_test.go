@@ -23,8 +23,10 @@ var raceEnabled bool
 const localHitCeiling = 90
 
 // TestGatewayLocalHitAllocs pins a gateway-local hit's allocations: the
-// cached canonical result lifts wire to wire in index space, so a depth-43
-// hit allocates at most 4 more objects than a depth-5 one.
+// local tier is a solvecache.Cache, whose Lookup lifts the cached canonical
+// partition in index space and hands the lists to wire.FromIndexed as they
+// are, so a depth-43 hit allocates at most 4 more objects than a depth-5
+// one.
 func TestGatewayLocalHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -195,8 +195,8 @@ type Gateway struct {
 	client   *http.Client
 	backends []*backend
 	ring     *ring
-	cache    *localCache // nil when disabled
-	jobs     *jobTable   // job ID → home backend routes
+	cache    *solvecache.Cache // gateway-local tier; nil when disabled
+	jobs     *jobTable         // job ID → home backend routes
 	mux      *http.ServeMux
 	draining atomic.Bool
 	started  time.Time
@@ -236,7 +236,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.backends = append(g.backends, newBackend(u, cfg.MaxInflight))
 	}
 	if cfg.LocalCacheSize > 0 {
-		g.cache = newLocalCache(cfg.LocalCacheSize)
+		g.cache = solvecache.New(cfg.LocalCacheSize)
 	}
 	g.routes()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -250,7 +250,7 @@ func New(cfg Config) (*Gateway, error) {
 }
 
 // Handler returns the gateway's HTTP handler.
-func (g *Gateway) Handler() http.Handler { return g.logged(g.mux) }
+func (g *Gateway) Handler() http.Handler { return obs.LogRequests(g.cfg.Logger, g.mux) }
 
 // Close stops the health-probe loops and waits for in-flight cache fills
 // (each bounded by FillTimeout). In-flight requests are unaffected.
@@ -519,11 +519,11 @@ func (it *solveItem) shardRequest() *wire.SolveRequest {
 	return it.payload
 }
 
-// liftJSON maps a canonical-space wire result onto the item's request
-// matrix, in index space (solvecache.LiftIndices). hit marks the result as
-// locally cache-served, zeroing the solver-stage stats like every other
-// cache layer does.
-func (it *solveItem) liftJSON(canon *wire.ResultJSON, hit bool) (*wire.ResultJSON, error) {
+// liftJSON maps a backend's canonical-space wire result (a proxied answer
+// or a job result) onto the item's request matrix, in index space
+// (solvecache.LiftIndices). The backend's own statistics and cache marking
+// carry over unchanged.
+func (it *solveItem) liftJSON(canon *wire.ResultJSON) (*wire.ResultJSON, error) {
 	out := *canon
 	out.Partition = make([]wire.RectJSON, len(canon.Partition))
 	err := solvecache.LiftIndices(it.fp, it.m, len(canon.Partition),
@@ -534,37 +534,50 @@ func (it *solveItem) liftJSON(canon *wire.ResultJSON, hit bool) (*wire.ResultJSO
 	}
 	out.Fingerprint = it.fp.Hash
 	out.Depth = len(out.Partition)
-	if hit {
-		out.CacheHit = true
-		out.SATCalls = 0
-		out.Conflicts = 0
-		out.PackNS = 0
-		out.SATNS = 0
-		out.Portfolio = nil
-	}
 	return &out, nil
 }
 
-// cacheableJSON mirrors solvecache's store policy: only proved-optimal,
-// uninterrupted results are facts about the matrix that every later request
-// may reuse.
-func cacheableJSON(res *wire.ResultJSON) bool {
-	return res.Optimal && !res.TimedOut && !res.Canceled
+// localHit answers an item from the gateway-local tier, exactly as ebmfd
+// answers a hit: solvecache.Lookup lifts the cached canonical partition
+// onto the request matrix and marks the result as a cache hit. ok is false
+// when the item must go to a backend: the tier is off, the fingerprint is
+// inexact, the key is absent, or its entry failed to lift (and was
+// dropped).
+func (g *Gateway) localHit(it *solveItem) (*wire.ResultJSON, bool) {
+	if !it.exact || g.cache == nil {
+		return nil, false
+	}
+	res, rects, ok := g.cache.Lookup(it.fp, it.m)
+	if !ok {
+		return nil, false
+	}
+	return wire.FromIndexed(res, it.fp.Hash, rects), true
 }
 
-// solveOne routes one prepared item: local cache, then the hedged forward
+// keep follows every lifted proxied answer: a proved-optimal canonical
+// result enters the local tier and, unless the backend served it from its
+// own cache (those were replicated when first solved), is replicated to the
+// key's ring successors.
+func (g *Gateway) keep(it *solveItem, canon *wire.ResultJSON, served *backend) {
+	meta := canon.Meta()
+	if !solvecache.Cacheable(&meta) {
+		return
+	}
+	if g.cache != nil {
+		g.cache.SeedIndexed(it.fp.Hash, &meta, it.fp.Canonical.Rows(), it.fp.Canonical.Cols(), canon.Partition)
+	}
+	if !canon.CacheHit {
+		g.replicate(it.fp.Hash, it.shardRequest().Matrix, canon, served)
+	}
+}
+
+// solveOne routes one prepared item: local tier, then the hedged forward
 // to its fingerprint shard, then lifting. It returns the HTTP status and
 // the response value to encode (a *wire.ResultJSON or wire.ErrorResponse),
 // or raw bytes to relay verbatim.
 func (g *Gateway) solveOne(ctx context.Context, it *solveItem, hdr http.Header) (int, any, []byte) {
-	if it.exact && g.cache != nil {
-		if canon, ok := g.cache.get(it.fp.Hash); ok {
-			if res, err := it.liftJSON(canon, true); err == nil {
-				g.met.localHits.Add(1)
-				return http.StatusOK, res, nil
-			}
-			g.cache.invalidate(it.fp.Hash)
-		}
+	if res, ok := g.localHit(it); ok {
+		return http.StatusOK, res, nil
 	}
 	fwd := it.shardRequest()
 	// Each newline of the matrix text is escaped to two bytes.
@@ -596,25 +609,18 @@ func (g *Gateway) solveOne(ctx context.Context, it *solveItem, hdr http.Header) 
 	}
 	// Graft the backend's span subtree into this request's trace, then strip
 	// it: the stitched trace lives on the gateway's /v1/debug/traces, and
-	// neither clients nor cache entries should carry backend spans. Must
-	// happen before liftJSON copies the result and before the cache put.
+	// neither clients nor replication fills should carry backend spans.
+	// Must happen before liftJSON copies the result.
 	g.stitch(ctx, &canon)
 	if canon.CacheHit {
 		g.met.remoteHits.Add(1)
 	}
-	res, err := it.liftJSON(&canon, false)
+	res, err := it.liftJSON(&canon)
 	if err != nil {
 		g.met.failed.Add(1)
 		return http.StatusBadGateway, wire.Errorf(wire.CodeUpstream, "%v", err), nil
 	}
-	if g.cache != nil && cacheableJSON(&canon) {
-		g.cache.put(it.fp.Hash, &canon)
-	}
-	if cacheableJSON(&canon) && !canon.CacheHit {
-		// A fresh proof (not a backend cache hit — those were replicated
-		// when first solved): warm the ring successors asynchronously.
-		g.replicate(it.fp.Hash, fwd.Matrix, &canon, fr.backend)
-	}
+	g.keep(it, &canon, fr.backend)
 	return http.StatusOK, res, nil
 }
 
@@ -653,23 +659,3 @@ func (g *Gateway) stitchRelay(ctx context.Context, body []byte) []byte {
 // statusClientClosedRequest mirrors ebmfd's use of nginx's non-standard 499
 // for requests whose client went away mid-flight.
 const statusClientClosedRequest = 499
-
-// logged is the request-logging middleware (same shape as ebmfd's).
-func (g *Gateway) logged(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		g.cfg.Logger.Printf("%s %s %d %s", r.Method, r.URL.Path, sw.status, time.Since(t0).Round(time.Microsecond))
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,20 +9,8 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
-
-// startTrace opens a root span for one gateway request, honoring an incoming
-// traceparent header (a client or an upstream gateway asking for the spans
-// back).
-func (g *Gateway) startTrace(r *http.Request, name string) (context.Context, *obs.Span) {
-	var remote *obs.Remote
-	if rm, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		remote = &rm
-	}
-	return g.cfg.Tracer.StartTrace(r.Context(), name, remote)
-}
 
 // handleSolve answers POST /v1/solve: decode, fingerprint, route, lift.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -48,7 +35,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, gerr.status, wire.Errorf(gerr.code, "%s", gerr.msg))
 		return
 	}
-	ctx, root := g.startTrace(r, "gw.solve")
+	ctx, root := g.cfg.Tracer.StartRequest(r, "gw.solve")
 	t0 := time.Now()
 	status, v, raw := g.solveOne(ctx, prepare(&req, m), r.Header)
 	if status == http.StatusOK {
@@ -107,7 +94,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, root := g.startTrace(r, "gw.batch")
+	ctx, root := g.cfg.Tracer.StartRequest(r, "gw.batch")
 	defer root.Finish()
 
 	resp := wire.BatchResponse{API: wire.V1, Results: make([]wire.BatchItem, len(req.Requests))}
@@ -126,15 +113,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		it := prepare(item, m)
-		if it.exact && g.cache != nil {
-			if canon, ok := g.cache.get(it.fp.Hash); ok {
-				if res, err := it.liftJSON(canon, true); err == nil {
-					g.met.localHits.Add(1)
-					resp.Results[i] = wire.BatchItem{Result: res}
-					continue
-				}
-				g.cache.invalidate(it.fp.Hash)
-			}
+		if res, ok := g.localHit(it); ok {
+			resp.Results[i] = wire.BatchItem{Result: res}
+			continue
 		}
 		home := g.ring.candidates(it.fp.Hash)[0]
 		gr := groups[home]
@@ -194,18 +175,13 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 					g.met.remoteHits.Add(1)
 				}
 				g.stitch(ctx, item.Result)
-				res, err := it.liftJSON(item.Result, false)
+				res, err := it.liftJSON(item.Result)
 				if err != nil {
 					g.met.failed.Add(1)
 					resp.Results[orig] = wire.BatchItem{Error: err.Error()}
 					continue
 				}
-				if g.cache != nil && cacheableJSON(item.Result) {
-					g.cache.put(it.fp.Hash, item.Result)
-				}
-				if cacheableJSON(item.Result) && !item.Result.CacheHit {
-					g.replicate(it.fp.Hash, it.shardRequest().Matrix, item.Result, fr.backend)
-				}
+				g.keep(it, item.Result, fr.backend)
 				resp.Results[orig] = wire.BatchItem{Result: res}
 			}
 		}(gr)

@@ -3,10 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -72,16 +69,6 @@ func (e *jobEntry) isTerminal() bool {
 	return e.terminal
 }
 
-// newGatewayJobID mints an unguessable gateway job ID (64 bits of
-// crypto/rand), matching the backend registry's ID policy.
-func newGatewayJobID() string {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("cluster: crypto/rand unavailable: %v", err))
-	}
-	return "gw-" + hex.EncodeToString(b[:])
-}
-
 // jobTable maps gateway job IDs to their routes, bounded by evicting
 // terminal entries first and only then the oldest live ones — a submit
 // burst must not drop the route of a still-running streamed job (an evicted
@@ -103,7 +90,7 @@ func (t *jobTable) add(e *jobEntry) string {
 	defer t.mu.Unlock()
 	var id string
 	for {
-		id = newGatewayJobID()
+		id = wire.NewJobID("gw-")
 		if _, taken := t.jobs[id]; !taken {
 			break
 		}
@@ -169,7 +156,7 @@ func (e *jobEntry) rewriteJob(gwID string, j *wire.JobJSON) error {
 	if j.Result == nil || it == nil || !it.exact {
 		return nil
 	}
-	res, err := it.liftJSON(j.Result, false)
+	res, err := it.liftJSON(j.Result)
 	if err != nil {
 		return err
 	}

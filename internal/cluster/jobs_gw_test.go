@@ -221,6 +221,49 @@ func streamGWTerminal(t *testing.T, base, id, key string) *wire.JobEvent {
 	return nil
 }
 
+// TestGatewayJobEventsStreamLive pins that the gateway relays SSE frames as
+// they are produced: the first frame of a long job must reach the client
+// while the job still runs. A logging middleware that hides the
+// connection's Flush from http.ResponseController leaves every frame in
+// net/http's buffer until the job ends.
+func TestGatewayJobEventsStreamLive(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{})
+	resp, body := jobCall(t, http.MethodPost, tc.ts.URL+"/v1/jobs", "", wire.JobRequest{
+		Matrix:  gwHardMatrix().String(),
+		Options: &wire.SolveOptions{ConflictBudget: -1},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	id := decodeGWJob(t, body).ID
+	stream, err := http.Get(tc.ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	br := bufio.NewReader(stream.Body)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended before its first data frame: %v", err)
+		}
+		if strings.HasPrefix(line, "data: ") {
+			break
+		}
+	}
+	gr, gb := jobCall(t, http.MethodGet, tc.ts.URL+"/v1/jobs/"+id, "", nil)
+	if gr.StatusCode != http.StatusOK {
+		t.Fatalf("poll: status %d: %s", gr.StatusCode, gb)
+	}
+	if j := decodeGWJob(t, gb); wire.JobTerminal(j.State) {
+		t.Fatalf("first frame arrived only after the job ended (state %s)", j.State)
+	}
+	if dr, db := jobCall(t, http.MethodDelete, tc.ts.URL+"/v1/jobs/"+id, "", nil); dr.StatusCode != http.StatusOK {
+		t.Fatalf("cancel: status %d: %s", dr.StatusCode, db)
+	}
+	waitGWJob(t, tc.ts.URL, id, "")
+}
+
 func TestGatewayJobSubmitFailsOverWhenHomeDown(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{})
 	req := wire.JobRequest{Matrix: fig1b}

@@ -20,7 +20,6 @@ type gwMetrics struct {
 	jobStreams   atomic.Int64 // SSE event streams proxied
 	jobsRehomed  atomic.Int64 // jobs resubmitted to a new backend after their home died
 
-	localHits      atomic.Int64 // served from the gateway-local LRU
 	remoteHits     atomic.Int64 // backend answered with cache_hit=true
 	relayed        atomic.Int64 // inexact-fingerprint responses passed through unlifted
 	hedges         atomic.Int64 // attempts launched by the hedge timer
@@ -99,6 +98,36 @@ type GWCacheMetrics struct {
 	RemoteHits int64           `json:"remote_hits"`
 }
 
+// LocalCacheStats is the /v1/metrics view of the gateway-local tier, a
+// solvecache.Cache consulted with Lookup. Misses counts lookups that found
+// no entry; Stores counts proved-optimal proxied answers it took in.
+type LocalCacheStats struct {
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Stores       int64 `json:"stores"`
+	Evictions    int64 `json:"evictions"`
+	LiftFailures int64 `json:"lift_failures"`
+	Entries      int   `json:"entries"`
+	Capacity     int   `json:"capacity"`
+}
+
+// localCacheStats reads the local tier's counters (all zero when it is off).
+func (g *Gateway) localCacheStats() LocalCacheStats {
+	if g.cache == nil {
+		return LocalCacheStats{}
+	}
+	s := g.cache.Stats()
+	return LocalCacheStats{
+		Hits:         s.Hits,
+		Misses:       s.Misses,
+		Stores:       s.Stores,
+		Evictions:    s.Evictions,
+		LiftFailures: s.LiftFailures,
+		Entries:      s.Entries,
+		Capacity:     g.cfg.LocalCacheSize,
+	}
+}
+
 // BackendStatus is one backend's live state.
 type BackendStatus struct {
 	URL      string `json:"url"`
@@ -139,7 +168,7 @@ func (g *Gateway) MetricsSnapshot() MetricsSnapshot {
 			Relayed:        m.relayed.Load(),
 		},
 		Cache: GWCacheMetrics{
-			Local:      g.cache.stats(),
+			Local:      g.localCacheStats(),
 			RemoteHits: m.remoteHits.Load(),
 		},
 		Replication: ReplicationMetrics{

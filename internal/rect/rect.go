@@ -24,6 +24,15 @@ type Rect struct {
 	Cols bitmat.Vec
 }
 
+// Indices is a rectangle as sorted row and column index lists. It is the one
+// index-list form in which partitions cross the cache tiers and the wire:
+// solvecache.RectIndices and wire.RectJSON are aliases of it, and its JSON
+// form is the wire's {"rows":[…],"cols":[…]}.
+type Indices struct {
+	Rows []int `json:"rows"`
+	Cols []int `json:"cols"`
+}
+
 // NewRect returns an empty rectangle for an m×n matrix.
 func NewRect(m, n int) Rect {
 	return Rect{Rows: bitmat.NewVec(m), Cols: bitmat.NewVec(n)}

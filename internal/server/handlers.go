@@ -83,16 +83,6 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (*tenant,
 	return t, true
 }
 
-// startTrace begins a trace for one request, honouring an upstream
-// traceparent header (which forces sampling — the gateway already decided).
-func (s *Server) startTrace(r *http.Request, name string) (context.Context, *obs.Span) {
-	var remote *obs.Remote
-	if rm, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		remote = &rm
-	}
-	return s.cfg.Tracer.StartTrace(r.Context(), name, remote)
-}
-
 // handleSolve answers POST /v1/solve: decode, admit, budget, solve, encode.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.met.solveRequests.Add(1)
@@ -116,7 +106,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	ctx, root := s.startTrace(r, "solve")
+	ctx, root := s.cfg.Tracer.StartRequest(r, "solve")
 	res, aerr := s.solveOne(ctx, t, m, &req)
 	if aerr != nil {
 		root.SetAttr("error", aerr.msg)
@@ -166,7 +156,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One trace spans the whole batch, with one "item" span per request.
 	// Item traces are not attached to the response items — a batch is a
 	// client-facing shape, not a gateway proxy hop.
-	ctx, root := s.startTrace(r, "batch")
+	ctx, root := s.cfg.Tracer.StartRequest(r, "batch")
 	resp := wire.BatchResponse{API: wire.V1, Results: make([]wire.BatchItem, len(req.Requests))}
 	var wg sync.WaitGroup
 	for i := range req.Requests {
@@ -248,11 +238,7 @@ func (s *Server) cachedSolve(ctx context.Context, m *bitmat.Matrix, opts core.Op
 	if err != nil {
 		return nil, nil, err
 	}
-	part := make([]wire.RectJSON, len(rects))
-	for k, r := range rects {
-		part[k] = wire.RectJSON(r)
-	}
-	return wire.FromIndexed(res, fp, part), res, nil
+	return wire.FromIndexed(res, fp, rects), res, nil
 }
 
 // statusClientClosedRequest mirrors nginx's non-standard 499 for requests
@@ -361,16 +347,9 @@ func (s *Server) validateFill(req *wire.FillRequest) (string, *core.Result, erro
 	if rj.Depth != p.Depth() {
 		return "", nil, fmt.Errorf("fill: claimed depth %d != partition depth %d", rj.Depth, p.Depth())
 	}
-	return fp.Hash, &core.Result{
-		Partition:      p,
-		Depth:          p.Depth(),
-		RankLB:         rj.RankLB,
-		FoolingLB:      rj.FoolingLB,
-		Optimal:        true,
-		Certificate:    wire.ParseCertificate(rj.Certificate),
-		Blocks:         rj.Blocks,
-		HeuristicDepth: rj.HeuristicDepth,
-	}, nil
+	res := rj.Meta()
+	res.Partition = p
+	return fp.Hash, &res, nil
 }
 
 // handleHealthz answers GET /v1/healthz: 200 while serving, 503 once

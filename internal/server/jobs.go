@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -94,20 +92,6 @@ func (r *jobRegistry) stopJanitor() {
 	r.janitorStop = nil
 }
 
-// newJobID mints an unguessable job ID: 64 bits from crypto/rand. IDs are
-// bearer-ish (tenant visibility is checked, but an unauthenticated default-
-// tenant job is reachable by anyone who knows the ID), so they must not be
-// enumerable from a counter.
-func newJobID(prefix string) string {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// crypto/rand failing means the platform's entropy source is gone;
-		// refusing to mint guessable IDs is the safe failure.
-		panic(fmt.Sprintf("server: crypto/rand unavailable: %v", err))
-	}
-	return prefix + hex.EncodeToString(b[:])
-}
-
 // jobEventRing caps the per-job replay buffer. Progress events beyond it
 // age out oldest-first; late subscribers still see every state transition
 // they need because the terminal snapshot is delivered from the job, not
@@ -162,7 +146,7 @@ func (r *jobRegistry) insert(id string, t *tenant, cancelOnDisconnect bool, canc
 	defer r.mu.Unlock()
 	if id == "" {
 		for {
-			id = newJobID("j-")
+			id = wire.NewJobID("j-")
 			if _, taken := r.jobs[id]; !taken {
 				break
 			}

@@ -258,7 +258,7 @@ func (s *Server) Close() {
 }
 
 // Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.logged(s.mux) }
+func (s *Server) Handler() http.Handler { return obs.LogRequests(s.cfg.Logger, s.mux) }
 
 // Cache exposes the underlying result cache (stats, test hooks).
 func (s *Server) Cache() *solvecache.Cache { return s.cache }
@@ -335,29 +335,3 @@ func (s *Server) solveBudgets(opts core.Options, timeout time.Duration) (core.Op
 	}
 	return opts, timeout
 }
-
-// logged is the request-logging middleware: one line per request with
-// method, path, status and duration.
-func (s *Server) logged(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		s.cfg.Logger.Printf("%s %s %d %s", r.Method, r.URL.Path, sw.status, time.Since(t0).Round(time.Microsecond))
-	})
-}
-
-// statusWriter records the response status for the logging middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer's Flush
-// (the SSE job-event stream needs it through this middleware).
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

@@ -8,9 +8,12 @@
 // Four mechanisms compose:
 //
 //   - LRU result cache. Only proved-optimal, un-interrupted results are
-//     stored: an optimal depth is the binary rank — a property of the matrix
-//     alone — so a cached result is correct for every budget and option set,
-//     while budget-limited results are request-specific and never cached.
+//     stored (Cacheable): an optimal depth is the binary rank — a property
+//     of the matrix alone — so a cached result is correct for every budget
+//     and option set, while budget-limited results are request-specific and
+//     never cached. Lookup serves from the LRU alone and SeedIndexed fills
+//     it from a partition held as index lists; together they make the
+//     cluster gateway's local tier, the same LRU and hit path ebmfd runs.
 //   - Singleflight. Concurrent requests with the same fingerprint elect one
 //     leader that runs the pipeline on the canonical matrix; everyone else
 //     waits and lifts the leader's result into their own index space. N
@@ -21,8 +24,8 @@
 //     are written through to an internal/store WAL keyed by the same
 //     fingerprint; an LRU miss falls back to the store before leading a
 //     solve, so a restarted process serves its whole history warm and an
-//     LRU eviction is not a death sentence. Seed injects replicated results
-//     from other fleet members through the same door.
+//     LRU eviction is not a death sentence. Seed and SeedIndexed inject
+//     replicated results from other fleet members through the same door.
 //   - Lifting. Cached partitions live on the canonical matrix, held once per
 //     entry as index lists. A hit maps them through the request's
 //     Fingerprint (RowMap/ColMap, then the request's own Compression)
@@ -83,17 +86,17 @@ type entry struct {
 	rows, cols int
 }
 
-// newEntry flattens a canonical-space result with a non-nil Partition.
-func newEntry(key string, res *core.Result) *entry {
+// newEntry builds an entry from a result's metadata (its Partition is not
+// read) and its partition of the rows×cols canonical matrix as index lists.
+func newEntry(key string, res *core.Result, rows, cols int, rects []RectIndices) *entry {
 	meta := *res
 	meta.Partition = nil
-	return &entry{
-		key:   key,
-		res:   &meta,
-		rects: indicesOf(res.Partition),
-		rows:  res.Partition.M.Rows(),
-		cols:  res.Partition.M.Cols(),
-	}
+	return &entry{key: key, res: &meta, rects: rects, rows: rows, cols: cols}
+}
+
+// entryOf flattens a canonical-space result with a non-nil Partition.
+func entryOf(key string, res *core.Result) *entry {
+	return newEntry(key, res, res.Partition.M.Rows(), res.Partition.M.Cols(), indicesOf(res.Partition))
 }
 
 // indicesOf lists a partition's rectangles as index lists sharing one
@@ -142,7 +145,8 @@ type Stats struct {
 	// SharedHits counts requests that waited on an in-flight identical solve
 	// and shared its result (singleflight followers).
 	SharedHits int64 `json:"shared_hits"`
-	// Misses counts requests that led a pipeline solve.
+	// Misses counts requests that led a pipeline solve, plus Lookup calls
+	// that found no entry.
 	Misses int64 `json:"misses"`
 	// Uncacheable counts requests whose fingerprint exceeded the
 	// canonicalization budget and bypassed the cache entirely.
@@ -284,16 +288,10 @@ func (c *Cache) solve(ctx context.Context, m *bitmat.Matrix, opts core.Options) 
 	for {
 		c.mu.Lock()
 		if el, ok := c.byKey[fp.Hash]; ok {
-			c.lru.MoveToFront(el)
-			e := el.Value.(*entry)
-			c.stats.Hits++
-			c.mu.Unlock()
-			a, err := lift(e, fp, m, true)
-			if err == nil {
+			if a, ok := c.hit(el, fp, m); ok {
 				return a, fp.Hash, nil
 			}
-			// Collision insurance: drop the entry and solve for real.
-			c.invalidate(fp.Hash, el)
+			// Collision insurance: hit dropped the entry; solve for real.
 			continue
 		}
 		if f, ok := c.flights[fp.Hash]; ok {
@@ -317,7 +315,7 @@ func (c *Cache) solve(ctx context.Context, m *bitmat.Matrix, opts core.Options) 
 			if f.err != nil {
 				return answer{}, fp.Hash, f.err
 			}
-			if !cacheable(f.res) {
+			if !Cacheable(f.res) {
 				// The leader's result is request-specific (budget-limited,
 				// canceled, or heuristic-only under its options). Sharing it
 				// could hand this request a weaker answer than its own
@@ -367,11 +365,48 @@ func (c *Cache) solve(ctx context.Context, m *bitmat.Matrix, opts core.Options) 
 		}
 		canon := f.canon
 		if canon == nil {
-			canon = newEntry(fp.Hash, res)
+			canon = entryOf(fp.Hash, res)
 		}
 		a, err := lift(canon, fp, m, false)
 		return a, fp.Hash, err
 	}
+}
+
+// hit serves the LRU entry el, found under c.mu, which hit releases: the
+// entry moves to the front and counts as a hit, then lifts onto m outside
+// the lock. An entry that fails to lift is dropped (collision insurance)
+// and ok is false.
+func (c *Cache) hit(el *list.Element, fp *bitmat.Fingerprint, m *bitmat.Matrix) (answer, bool) {
+	c.lru.MoveToFront(el)
+	e := el.Value.(*entry)
+	c.stats.Hits++
+	c.mu.Unlock()
+	a, err := lift(e, fp, m, true)
+	if err != nil {
+		c.invalidate(fp.Hash, el)
+		return answer{}, false
+	}
+	return a, true
+}
+
+// Lookup serves m from the LRU alone: no durable tier, no singleflight and
+// no solve. A hit lifts exactly as one inside SolveContextIndexed does: the
+// result is marked CacheHit with its solver-stage stats zeroed and a nil
+// Partition, and rects are m's rectangles as sorted index lists. A key
+// that is absent counts as a miss; an entry that fails to lift is dropped
+// and counted as a lift failure. Both report ok false. fp must be m's exact
+// fingerprint. This is the gateway's local tier: it answers what it holds
+// and forwards the rest to a backend.
+func (c *Cache) Lookup(fp *bitmat.Fingerprint, m *bitmat.Matrix) (res *core.Result, rects []RectIndices, ok bool) {
+	c.mu.Lock()
+	el, found := c.byKey[fp.Hash]
+	if !found {
+		c.stats.Misses++
+		c.mu.Unlock()
+		return nil, nil, false
+	}
+	a, ok := c.hit(el, fp, m)
+	return a.res, a.rects, ok
 }
 
 // leadSolve runs the leader's pipeline with completion insurance: however
@@ -382,8 +417,8 @@ func (c *Cache) leadSolve(ctx context.Context, fp *bitmat.Fingerprint, f *flight
 	completed := false
 	defer func() {
 		var canon *entry
-		if completed && err == nil && cacheable(res) {
-			canon = newEntry(fp.Hash, res)
+		if completed && err == nil && Cacheable(res) {
+			canon = entryOf(fp.Hash, res)
 		}
 		c.mu.Lock()
 		delete(c.flights, fp.Hash)
@@ -414,12 +449,23 @@ func (c *Cache) leadSolve(ctx context.Context, fp *bitmat.Fingerprint, f *flight
 // recomputes the fingerprint and re-validates the partition before calling
 // Seed), and the usual lift-time re-validation still guards every future
 // hit. Returns false when the result is not seedable (non-optimal) or an
-// entry already exists in both tiers.
+// entry already exists in both tiers. A key already in the LRU keeps its
+// entry and its place.
 func (c *Cache) Seed(hash string, res *core.Result) bool {
-	if hash == "" || res == nil || !cacheable(res) || res.Partition == nil {
+	if res == nil || res.Partition == nil {
 		return false
 	}
-	e := newEntry(hash, res)
+	return c.SeedIndexed(hash, res, res.Partition.M.Rows(), res.Partition.M.Cols(), indicesOf(res.Partition))
+}
+
+// SeedIndexed is Seed for a canonical partition given as index lists over
+// the rows×cols canonical matrix; res.Partition is not read. The entry
+// keeps rects as they are, so the caller must not modify them afterwards.
+func (c *Cache) SeedIndexed(hash string, res *core.Result, rows, cols int, rects []RectIndices) bool {
+	if hash == "" || res == nil || !Cacheable(res) {
+		return false
+	}
+	e := newEntry(hash, res, rows, cols, rects)
 	c.mu.Lock()
 	_, inLRU := c.byKey[hash]
 	if !inLRU {
@@ -438,10 +484,10 @@ func (c *Cache) Seed(hash string, res *core.Result) bool {
 	return stored
 }
 
-// cacheable reports whether a canonical-space result may be stored: only
+// Cacheable reports whether a canonical-space result may be stored: only
 // proved-optimal, uninterrupted results are budget-independent facts about
 // the matrix.
-func cacheable(res *core.Result) bool {
+func Cacheable(res *core.Result) bool {
 	return res.Optimal && !res.TimedOut && !res.Canceled
 }
 
@@ -487,13 +533,10 @@ func (c *Cache) count(fn func(*Stats)) {
 	c.mu.Unlock()
 }
 
-// RectIndices is one canonical-space rectangle as explicit index lists — the
-// exchange form used by layers (the cluster gateway) that hold a partition of
-// fp.Canonical without core.Result's bitset representation.
-type RectIndices struct {
-	Rows []int
-	Cols []int
-}
+// RectIndices is one rectangle as sorted index lists: the cache's form of a
+// partition, in canonical space inside an entry and in request space once
+// lifted. It is rect.Indices, so a lifted partition goes to the wire as is.
+type RectIndices = rect.Indices
 
 // LiftCanonical maps a partition of fp.Canonical (as row/col index lists)
 // onto the request matrix m: each rectangle's indices map through the

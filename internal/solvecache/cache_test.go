@@ -3,6 +3,7 @@ package solvecache
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -324,6 +325,70 @@ func TestLiftCanonicalRejectsCorruptPartitions(t *testing.T) {
 	if _, err := LiftCanonical(&bitmat.Fingerprint{}, m, good); err == nil {
 		t.Fatalf("inexact fingerprint lifted without error")
 	}
+}
+
+// TestLookupAndSeedIndexed pins the entry points of the gateway's local
+// tier: Lookup answers from the LRU alone (an absent key is a counted miss
+// and nothing is solved), a hit is the same answer a Solve hit gives, a
+// failing entry is dropped, and SeedIndexed leaves a cached key in place.
+func TestLookupAndSeedIndexed(t *testing.T) {
+	c := New(0)
+	m := bitmat.MustParse(fig1b)
+	p := permute(m, rand.New(rand.NewSource(5)))
+	fp := bitmat.ComputeFingerprint(p)
+	if _, _, ok := c.Lookup(fp, p); ok {
+		t.Fatal("lookup hit an empty cache")
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Solves != 0 {
+		t.Fatalf("empty lookup: stats %+v, want 1 miss and no solve", s)
+	}
+	canon, err := core.Solve(fp.Canonical, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cols := fp.Canonical.Rows(), fp.Canonical.Cols()
+	if !c.SeedIndexed(fp.Hash, canon, rows, cols, indicesOf(canon.Partition)) {
+		t.Fatal("seed refused")
+	}
+	res, rects, ok := c.Lookup(fp, p)
+	if !ok || !res.CacheHit || res.Partition != nil || res.Depth != 5 || res.SATCalls != 0 || res.PackTime != 0 {
+		t.Fatalf("lookup hit: ok=%v %+v", ok, res)
+	}
+	sres, srects, _, err := c.SolveContextIndexed(context.Background(), p, core.DefaultOptions())
+	if err != nil || *sres != *res || !reflect.DeepEqual(srects, rects) {
+		t.Fatalf("solve hit differs from lookup hit: %+v %v vs %+v %v (err %v)", sres, srects, res, rects, err)
+	}
+	// A second seed under the same key is refused and changes nothing.
+	wrong := []RectIndices{{Rows: seq(rows), Cols: seq(cols)}}
+	if c.SeedIndexed(fp.Hash, &core.Result{Depth: 1, Optimal: true}, rows, cols, wrong) {
+		t.Fatal("seed replaced a cached entry")
+	}
+	if res, _, ok := c.Lookup(fp, p); !ok || res.Depth != 5 {
+		t.Fatalf("entry after a refused seed: ok=%v %+v", ok, res)
+	}
+	// A wrong entry under another real key fails to lift and is dropped.
+	q := bitmat.MustParse("110\n011")
+	qfp := bitmat.ComputeFingerprint(q)
+	qr, qc := qfp.Canonical.Rows(), qfp.Canonical.Cols()
+	if !c.SeedIndexed(qfp.Hash, &core.Result{Depth: 1, Optimal: true}, qr, qc, []RectIndices{{Rows: seq(qr), Cols: seq(qc)}}) {
+		t.Fatal("seed of a second key refused")
+	}
+	if _, _, ok := c.Lookup(qfp, q); ok {
+		t.Fatal("wrong entry served")
+	}
+	want := Stats{Hits: 4, Misses: 1, Seeds: 2, Stores: 2, LiftFailures: 1, Entries: 1}
+	if s := c.Stats(); s != want {
+		t.Fatalf("stats %+v, want %+v", s, want)
+	}
+}
+
+// seq returns 0, 1, …, n-1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 func TestSingleflightDeduplicatesConcurrentPermutations(t *testing.T) {

@@ -91,5 +91,5 @@ func durableLookup(st *store.Store, hash string) *entry {
 		st.Delete(hash)
 		return nil
 	}
-	return newEntry(hash, res)
+	return entryOf(hash, res)
 }

@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// RectRecord is one canonical-space rectangle as explicit index lists —
-// the same exchange form as solvecache.RectIndices / wire.RectJSON, kept
-// dependency-free here so the store stays a pure persistence layer.
+// RectRecord is one canonical-space rectangle as explicit index lists. It
+// holds what rect.Indices holds (the form the cache tiers and the wire
+// share), but it is a type of its own: its on-disk JSON tags are "r" and
+// "c", and the store stays a pure persistence layer with no dependencies.
 type RectRecord struct {
 	Rows []int `json:"r"`
 	Cols []int `json:"c"`

@@ -1,6 +1,12 @@
 package wire
 
-import "repro/internal/obs"
+import (
+	crand "crypto/rand"
+	"encoding/hex"
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // Job lifecycle states. A job moves strictly forward:
 //
@@ -57,6 +63,21 @@ type JobRequest struct {
 // SolveRequest.
 func (r *JobRequest) SolveRequest() *SolveRequest {
 	return &SolveRequest{API: r.API, Matrix: r.Matrix, Rows: r.Rows, Options: r.Options}
+}
+
+// NewJobID mints an unguessable job ID: prefix plus 64 bits from
+// crypto/rand, hex-encoded. IDs are bearer-ish (tenant visibility is
+// checked, but an unauthenticated default-tenant job is reachable by anyone
+// who knows the ID), so they must not be enumerable from a counter. ebmfd
+// mints "j-" IDs and ebmfgw "gw-" IDs.
+func NewJobID(prefix string) string {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		// crypto/rand failing means the platform's entropy source is gone;
+		// refusing to mint guessable IDs is the safe failure.
+		panic(fmt.Sprintf("wire: crypto/rand unavailable: %v", err))
+	}
+	return prefix + hex.EncodeToString(b[:])
 }
 
 // JobJSON is the wire form of a job: the body of POST /v1/jobs and

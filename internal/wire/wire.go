@@ -60,6 +60,7 @@ import (
 	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
+	"repro/internal/rect"
 )
 
 // V1 is the current wire schema version. See the package comment for the
@@ -216,11 +217,9 @@ func (o *SolveOptions) Apply(base core.Options) (core.Options, time.Duration, er
 	return opts, timeout, nil
 }
 
-// RectJSON is one combinatorial rectangle as explicit index lists.
-type RectJSON struct {
-	Rows []int `json:"rows"`
-	Cols []int `json:"cols"`
-}
+// RectJSON is one combinatorial rectangle as explicit index lists, in the
+// index-list form the cache tiers share.
+type RectJSON = rect.Indices
 
 // ResultJSON is the wire form of core.Result — the body of a /v1/solve
 // response and of `ebmf -json` output.
@@ -310,6 +309,25 @@ func FromIndexed(res *core.Result, fingerprint string, rects []RectJSON) *Result
 	return out
 }
 
+// Meta is the core provenance a wire result carries, without its partition:
+// depth, lower bounds, optimality, certificate, interruption flags, blocks
+// and heuristic depth. It is the one conversion from the wire back to
+// core.Result. Solver-stage counters and the cache-hit mark describe the
+// request that produced the result, not the matrix, and stay zero.
+func (r *ResultJSON) Meta() core.Result {
+	return core.Result{
+		Depth:          r.Depth,
+		RankLB:         r.RankLB,
+		FoolingLB:      r.FoolingLB,
+		Optimal:        r.Optimal,
+		Certificate:    parseCertificate(r.Certificate),
+		TimedOut:       r.TimedOut,
+		Canceled:       r.Canceled,
+		Blocks:         r.Blocks,
+		HeuristicDepth: r.HeuristicDepth,
+	}
+}
+
 // FillRequest is the body of POST /v1/fill — the cache-fill replication
 // path: a gateway (or operator tooling) seeds a proved-optimal canonical
 // result into a backend's cache so a failover lands warm. The receiver
@@ -340,9 +358,9 @@ type FillResponse struct {
 	Stored bool `json:"stored"`
 }
 
-// ParseCertificate inverts core.Certificate.String; unknown names map to
+// parseCertificate inverts core.Certificate.String; unknown names map to
 // CertNone.
-func ParseCertificate(s string) core.Certificate {
+func parseCertificate(s string) core.Certificate {
 	switch s {
 	case "rank":
 		return core.CertRank

@@ -256,3 +256,21 @@ func TestRequestSchemaRejectsUnknownFieldsWhenStrict(t *testing.T) {
 		t.Fatalf("strict decoding accepted an unknown field")
 	}
 }
+
+// TestMetaInvertsFromIndexed pins the one wire→core conversion: every
+// provenance field FromIndexed writes comes back from Meta, for every
+// certificate, while the request-specific counters stay zero.
+func TestMetaInvertsFromIndexed(t *testing.T) {
+	for _, cert := range []core.Certificate{core.CertNone, core.CertRank, core.CertFooling, core.CertUnsat} {
+		want := core.Result{
+			Depth: 7, RankLB: 5, FoolingLB: 6, Optimal: cert != core.CertNone, Certificate: cert,
+			TimedOut: cert == core.CertNone, Canceled: cert == core.CertNone, Blocks: 2, HeuristicDepth: 8,
+		}
+		solved := want
+		solved.CacheHit, solved.SATCalls, solved.Conflicts = true, 3, 99
+		rj := FromIndexed(&solved, "f", make([]RectJSON, 7))
+		if got := rj.Meta(); got != want {
+			t.Errorf("%v: Meta = %+v, want %+v", cert, got, want)
+		}
+	}
+}

@@ -292,43 +292,35 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusBadGateway, wire.Errorf(wire.CodeUpstream, "all backends refused the job: %v", last.err))
 }
 
-// jobRoute resolves {id} to its route, answering the 404 itself. A route the
-// gateway evicted or never knew is indistinguishable from a job that never
-// existed — same contract as the backend's per-tenant visibility.
-func (g *Gateway) jobRoute(w http.ResponseWriter, r *http.Request) (string, *jobEntry, bool) {
-	id := r.PathValue("id")
-	e := g.jobs.get(id)
-	if e == nil {
+// dialJob resolves {id} to its route and sends one request for the job to
+// its home backend at /v1/jobs/{backend id}+suffix, forwarding the client's
+// auth and Last-Event-ID (only the event stream reads the latter). A route
+// the gateway evicted or never knew answers 404, the same contract as the
+// backend's per-tenant visibility. A transport error (home died) triggers
+// one re-home attempt: the pinned submit resubmits to the next ring
+// candidate and the call retries against the new route, so a dead-backend
+// job answers from a live (re-homed) backend instead of 502. When dialJob
+// has written the response itself, resp is nil.
+func (g *Gateway) dialJob(w http.ResponseWriter, r *http.Request, method, suffix string) (gwID string, e *jobEntry, resp *http.Response) {
+	gwID = r.PathValue("id")
+	if e = g.jobs.get(gwID); e == nil {
 		writeJSON(w, http.StatusNotFound, wire.Errorf(wire.CodeNotFound, "no such job"))
-		return "", nil, false
+		return gwID, nil, nil
 	}
-	return id, e, true
-}
-
-// proxyJobCall forwards one GET/DELETE to a job's home backend and rewrites
-// the snapshot on success. A transport error (home died) triggers one
-// re-home attempt: the pinned submit resubmits to the next ring candidate
-// and the call retries against the new route, so a single poll of a
-// dead-backend job answers 200 with a live (re-homed) snapshot instead
-// of 502.
-func (g *Gateway) proxyJobCall(w http.ResponseWriter, r *http.Request, method string) {
-	gwID, e, ok := g.jobRoute(w, r)
-	if !ok {
-		return
-	}
-	var resp *http.Response
 	for try := 0; ; try++ {
 		b, backendID := e.route()
 		req, err := http.NewRequestWithContext(r.Context(), method,
-			b.url+"/v1/jobs/"+backendID, nil)
+			b.url+"/v1/jobs/"+backendID+suffix, nil)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, wire.Errorf(wire.CodeInternal, "%v", err))
-			return
+			return gwID, e, nil
 		}
 		copyAuth(req.Header, r.Header)
-		resp, err = g.client.Do(req)
-		if err == nil {
-			break
+		if lid := r.Header.Get("Last-Event-ID"); lid != "" {
+			req.Header.Set("Last-Event-ID", lid)
+		}
+		if resp, err = g.client.Do(req); err == nil {
+			return gwID, e, resp
 		}
 		b.report(false, time.Now(), g.cfg.BreakerThreshold, g.cfg.BreakerCooldown)
 		if try == 0 && g.rehome(r.Context(), gwID, e, r.Header) {
@@ -336,6 +328,15 @@ func (g *Gateway) proxyJobCall(w http.ResponseWriter, r *http.Request, method st
 		}
 		g.met.failed.Add(1)
 		writeJSON(w, http.StatusBadGateway, wire.Errorf(wire.CodeUpstream, "job backend unreachable: %v", err))
+		return gwID, e, nil
+	}
+}
+
+// proxyJobCall forwards one GET/DELETE to a job's home backend (dialJob)
+// and rewrites the snapshot on success.
+func (g *Gateway) proxyJobCall(w http.ResponseWriter, r *http.Request, method string) {
+	gwID, e, resp := g.dialJob(w, r, method, "")
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
@@ -375,36 +376,11 @@ func (g *Gateway) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleJobEvents proxies the SSE stream from the job's home backend,
 // frame by frame: live passthrough for status/progress, decode-and-lift for
-// the terminal frame. The client's Last-Event-ID forwards so resumption
-// works through the proxy.
+// the terminal frame. dialJob forwards the client's Last-Event-ID, so
+// resumption works through the proxy.
 func (g *Gateway) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	gwID, e, ok := g.jobRoute(w, r)
-	if !ok {
-		return
-	}
-	var resp *http.Response
-	for try := 0; ; try++ {
-		b, backendID := e.route()
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-			b.url+"/v1/jobs/"+backendID+"/events", nil)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, wire.Errorf(wire.CodeInternal, "%v", err))
-			return
-		}
-		copyAuth(req.Header, r.Header)
-		if lid := r.Header.Get("Last-Event-ID"); lid != "" {
-			req.Header.Set("Last-Event-ID", lid)
-		}
-		resp, err = g.client.Do(req)
-		if err == nil {
-			break
-		}
-		b.report(false, time.Now(), g.cfg.BreakerThreshold, g.cfg.BreakerCooldown)
-		if try == 0 && g.rehome(r.Context(), gwID, e, r.Header) {
-			continue
-		}
-		g.met.failed.Add(1)
-		writeJSON(w, http.StatusBadGateway, wire.Errorf(wire.CodeUpstream, "job backend unreachable: %v", err))
+	gwID, e, resp := g.dialJob(w, r, http.MethodGet, "/events")
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()

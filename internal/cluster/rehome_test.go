@@ -149,3 +149,41 @@ func TestGatewayRehomesJobWhenHomeDies(t *testing.T) {
 		t.Fatalf("jobs.rehomed = %d, want 1", m.Jobs.Rehomed)
 	}
 }
+
+// TestGatewayRehomesJobEventsWhenHomeDies kills a job's home backend before
+// its event stream opens: GET /events through the gateway must re-home the
+// job and stream it to a done frame under the same gateway ID, flagged
+// rehomed.
+func TestGatewayRehomesJobEventsWhenHomeDies(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+
+	resp, body := jobCall(t, http.MethodPost, tc.ts.URL+"/v1/jobs", "",
+		wire.JobRequest{Matrix: gwHardMatrix().String()})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	j := decodeGWJob(t, body)
+
+	e := tc.gw.jobs.get(j.ID)
+	if e == nil {
+		t.Fatal("no route for accepted job")
+	}
+	home, _ := e.route()
+	for i := range tc.backends {
+		if tc.gw.backends[i] == home {
+			tc.backends[i].Close()
+		}
+	}
+
+	ev := streamGWTerminal(t, tc.ts.URL, j.ID, "")
+	if ev.Job.ID != j.ID || ev.Job.State != wire.JobDone || !ev.Job.Rehomed {
+		t.Fatalf("terminal frame after home death: id %q state %s rehomed %v, want %q done true",
+			ev.Job.ID, ev.Job.State, ev.Job.Rehomed, j.ID)
+	}
+	if nb, _ := e.route(); nb == home {
+		t.Fatal("route still points at the dead backend")
+	}
+	if m := tc.gw.MetricsSnapshot(); m.Jobs.Rehomed != 1 {
+		t.Fatalf("jobs.rehomed = %d, want 1", m.Jobs.Rehomed)
+	}
+}

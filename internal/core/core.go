@@ -13,6 +13,9 @@
 //	Per-block SAP (solveBlock)     — Algorithm 1 on each block, concurrently
 //	Recombine                      — union the partitions, stitch certificates
 //
+// Each block's SAT narrowing loop is portfolio.Race: one strategy narrowing
+// alone when racing is off, K strategies racing each bound when it is on.
+//
 // The depth objective is additive over components (a rectangle spanning two
 // components would cover a 0), so the blockwise union of optima is a global
 // optimum and blocks can be solved independently on a worker pool
@@ -40,7 +43,6 @@ import (
 	"repro/internal/portfolio"
 	"repro/internal/rect"
 	"repro/internal/rowpack"
-	"repro/internal/sat"
 )
 
 // Certificate says why a result is known optimal.
@@ -269,7 +271,8 @@ func (p *PortfolioStats) merge(b *PortfolioStats) {
 
 // markOptimalByBound records optimality established by the depth meeting a
 // lower bound, with the certificate naming the stronger bound. Shared by the
-// sequential and racing block solvers so their certificates cannot drift.
+// heuristic stage and the narrowing loop so their certificates cannot
+// drift.
 func (r *Result) markOptimalByBound() {
 	r.Optimal = true
 	r.Certificate = CertRank
@@ -550,11 +553,9 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		}
 	}
 
-	optimalByBound := func() { res.markOptimalByBound() }
-
 	res.Partition = best
 	if best.Depth() <= lb {
-		optimalByBound()
+		res.markOptimalByBound()
 		return res, nil
 	}
 	if opts.SkipSAT || (opts.MaxSATEntries > 0 && m.Ones() > opts.MaxSATEntries) {
@@ -571,161 +572,93 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		return res, nil
 	}
 
-	// Stage 2: SAT narrowing loop (Algorithm 1, lines 2–10).
+	// Stage 2: SAT narrowing loop (Algorithm 1, lines 2–10), run by
+	// portfolio.Race with the base strategy alone unless racing is on.
 	tSAT := time.Now()
 	defer func() { res.SATTime = time.Since(tSAT) }()
 
+	base := []portfolio.Strategy{baseStrategy(opts)}
+	spec := portfolio.RaceSpec{
+		M:              m,
+		Block:          blockIdx,
+		Start:          best.Depth() - 1,
+		LB:             lb,
+		Strategies:     base,
+		ConflictBudget: conflictBudget,
+		Deadline:       deadline,
+	}
 	if opts.Portfolio.Enabled() {
-		return solveBlockPortfolio(ctx, blockIdx, m, opts, conflictBudget, deadline, res, best, lb)
-	}
-
-	enc := baseStrategy(opts).NewEncoder(m, best.Depth()-1)
-	s := enc.Solver()
-	s.SetInterrupt(func() bool { return ctx.Err() != nil })
-	defer s.SetInterrupt(nil)
-	installProgress(ctx, s, blockIdx, lb, enc.Bound)
-	defer s.SetProgress(0, nil)
-	remaining := conflictBudget // <=0: unlimited
-	for enc.Bound() >= lb {
-		if conflictBudget > 0 && remaining <= 0 {
-			// The budget ran out exactly on the last round's final conflict:
-			// passing remaining=0 on would mean "unlimited" to
-			// solveWithBudgets, not "exhausted".
-			res.TimedOut = true
-			break
+		strategies, err := resolveStrategies(m, opts)
+		if err != nil {
+			return nil, err
 		}
-		_, probe := obs.StartSpan(ctx, "probe")
-		probe.SetAttrInt("bound", int64(enc.Bound()))
-		status, spent := solveWithBudgets(ctx, enc, remaining, deadline)
-		probe.SetAttr("status", status.String())
-		probe.SetAttrInt("conflicts", spent)
-		probe.End()
-		res.SATCalls++
-		res.Conflicts += spent
-		if remaining > 0 {
-			remaining -= spent
-			if remaining <= 0 && status == sat.Unknown {
-				res.TimedOut = true
-				break
-			}
-		}
-		switch status {
-		case sat.Sat:
-			p, err := enc.ReadPartition()
-			if err != nil {
-				return nil, fmt.Errorf("core: model readout failed: %w", err)
-			}
-			best = p
-			res.Partition = best
-			enc.Narrow()
-		case sat.Unsat:
-			res.Optimal = true
-			res.Certificate = CertUnsat
-			return res, nil
-		default:
-			res.TimedOut = true
-			res.Canceled = ctx.Err() != nil
-			return res, nil
-		}
+		spec.Strategies = strategies
+		spec.StrategyBudgets = opts.Portfolio.StrategyBudgets
+		spec.ShareClauses = opts.Portfolio.ShareClauses
+		spec.HeadStart = opts.Portfolio.HeadStart
 	}
-	if !res.TimedOut && best.Depth() <= lb {
-		optimalByBound()
+	out := portfolio.Race(ctx, spec)
+	if out.Err != nil {
+		return nil, fmt.Errorf("core: model readout failed: %w", out.Err)
 	}
-	return res, nil
-}
-
-// solveBlockPortfolio replaces the sequential narrowing loop with a
-// per-bound strategy race (internal/portfolio). The race decides statuses
-// only — those are properties of the matrix, so depth, optimality and
-// certificate come out identical to the sequential solver's. The race is
-// delayed: the canonical strategy runs alone with a conflict head start, so
-// easy blocks pay no racing overhead and keep the solo loop's own model.
-// Once competitors launch, the winning partition is re-derived by a fresh
-// canonical solver at the proven bound, a pure function of (matrix, bound,
-// options): race timing and the identity of the winning racer can change
-// only the stats, never the result.
-func solveBlockPortfolio(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Options, conflictBudget int64, deadline time.Time, res *Result, best *rect.Partition, lb int) (*Result, error) {
-	strategies, err := resolveStrategies(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	if obs.ProgressEvery(ctx) > 0 {
-		// Initial sample at SAT-stage start, mirroring installProgress.
-		obs.AddProgress(ctx, obs.ProgressSample{Time: time.Now(), Block: blockIdx, Bound: best.Depth() - 1, LB: lb})
-	}
-	out := portfolio.Race(ctx, portfolio.RaceSpec{
-		M:               m,
-		Block:           blockIdx,
-		Start:           best.Depth() - 1,
-		LB:              lb,
-		Strategies:      strategies,
-		StrategyBudgets: opts.Portfolio.StrategyBudgets,
-		ConflictBudget:  conflictBudget,
-		Deadline:        deadline,
-		ShareClauses:    opts.Portfolio.ShareClauses,
-		HeadStart:       opts.Portfolio.HeadStart,
-	})
 	res.SATCalls += out.Rounds
 	res.Conflicts += out.WinnerConflicts + out.LoserConflicts
-	res.Portfolio = &PortfolioStats{
-		Wins:           out.Wins,
-		BlockWinners:   []string{out.Winner},
-		LoserConflicts: out.LoserConflicts,
-		SharedExported: out.SharedExported,
-		SharedImported: out.SharedImported,
+	res.TimedOut, res.Canceled = out.TimedOut, out.Canceled
+	if opts.Portfolio.Enabled() {
+		res.Portfolio = &PortfolioStats{
+			Wins:           out.Wins,
+			BlockWinners:   []string{out.Winner},
+			LoserConflicts: out.LoserConflicts,
+			SharedExported: out.SharedExported,
+			SharedImported: out.SharedImported,
+		}
 	}
-	res.TimedOut = out.TimedOut
-	res.Canceled = out.Canceled
 
 	switch {
-	case out.BestBound >= 0 && out.Partition != nil:
-		// The race never escalated past the solo head start: the whole run
-		// was the deterministic canonical narrowing loop, and its own model
-		// at the final bound needs no re-derivation.
+	case out.Partition != nil:
+		// A solo round decided the last satisfiable bound: its model is the
+		// narrowing loop's own.
 		res.Partition = out.Partition
 	case out.BestBound >= 0:
-		// Materialize the model the race proved to exist. The sequential
-		// loop reads its models for free at each Sat verdict, so this solve
-		// is result materialization, not search — it gets a fresh copy of
-		// the full block budget instead of the race's leftovers (a proven-
-		// satisfiable bound that cannot be re-solved within a whole block
-		// budget is pathological, and the heuristic fallback below stays
-		// sound). Worst case the block spends 2× its budget; it never
-		// silently loses a result it paid for. Deadline and cancellation
-		// still apply — exactly the situations where the sequential solver
-		// would also return without this depth.
-		enc := baseStrategy(opts).NewEncoder(m, out.BestBound)
-		s := enc.Solver()
-		s.SetInterrupt(func() bool { return ctx.Err() != nil })
-		defer s.SetInterrupt(nil)
-		_, rsp := obs.StartSpan(ctx, "rederive")
+		// A competitor decided it. A race decides statuses only, which are
+		// properties of the matrix, so the partition is re-derived by a
+		// one-strategy race of the base strategy at that bound: a pure
+		// function of (matrix, bound, options), whichever racer won. This is
+		// result materialization, not search, so it gets a fresh copy of the
+		// full block budget instead of the race's leftovers; worst case the
+		// block spends 2× its budget, and it never silently loses a result
+		// it paid for. Deadline and cancellation still apply, and when they
+		// stop it the heuristic partition stands.
+		rctx, rsp := obs.StartSpan(ctx, "rederive")
 		rsp.SetAttrInt("bound", int64(out.BestBound))
-		status, spent := solveWithBudgets(ctx, enc, conflictBudget, deadline)
-		rsp.SetAttr("status", status.String())
-		rsp.SetAttrInt("conflicts", spent)
+		ro := portfolio.Race(rctx, portfolio.RaceSpec{
+			M:              m,
+			Block:          blockIdx,
+			Start:          out.BestBound,
+			LB:             out.BestBound,
+			Strategies:     base,
+			ConflictBudget: conflictBudget,
+			Deadline:       deadline,
+		})
 		rsp.End()
-		res.SATCalls++
-		res.Conflicts += spent
-		switch status {
-		case sat.Sat:
-			p, err := enc.ReadPartition()
-			if err != nil {
-				return nil, fmt.Errorf("core: model readout failed: %w", err)
-			}
-			res.Partition = p
-		case sat.Unsat:
+		res.SATCalls += ro.Rounds
+		res.Conflicts += ro.WinnerConflicts
+		switch {
+		case ro.Err != nil:
+			return nil, fmt.Errorf("core: model readout failed: %w", ro.Err)
+		case ro.UnsatProven:
 			return nil, fmt.Errorf("core: internal error: race proved bound %d satisfiable but canonical re-derivation found UNSAT", out.BestBound)
-		default:
-			res.TimedOut = true
-			res.Canceled = ctx.Err() != nil
+		case ro.Partition == nil:
+			res.TimedOut, res.Canceled = true, ro.Canceled
 			return res, nil // heuristic partition stands
 		}
+		res.Partition = ro.Partition
 	}
 
 	// Reaching this point with UnsatProven means the partition really has
 	// the proven-optimal depth: either no bound was ever satisfiable
 	// (BestBound −1, the heuristic partition at Start+1 stands) or the
-	// re-derivation at BestBound succeeded (its failure paths return above).
+	// partition is a model at BestBound.
 	switch {
 	case out.UnsatProven:
 		res.Optimal = true
@@ -737,8 +670,8 @@ func solveBlockPortfolio(ctx context.Context, blockIdx int, m *bitmat.Matrix, op
 }
 
 // baseStrategy maps the single-strategy options onto a portfolio strategy:
-// the configuration of core's sequential narrowing loop, of racer 0 and of
-// the re-derivation solve, so the three cannot drift apart.
+// the configuration of the narrowing loop when racing is off, of racer 0
+// and of the re-derivation, so the three cannot drift apart.
 func baseStrategy(opts Options) portfolio.Strategy {
 	st := portfolio.Canonical()
 	st.AMO = opts.AMO
@@ -760,69 +693,6 @@ func resolveStrategies(m *bitmat.Matrix, opts Options) ([]portfolio.Strategy, er
 		return portfolio.Resolve(base, names)
 	}
 	return portfolio.DefaultStrategies(base, opts.Portfolio.Size, portfolio.Seed(m)), nil
-}
-
-// installProgress wires the solver's sampled search telemetry into the
-// context's trace: an initial sample marks the SAT stage start (so every
-// traced solve that reaches SAT has at least one sample even when it decides
-// in fewer conflicts than the sampling interval), then one sample per
-// ProgressEvery conflicts. No-op on untraced contexts. The hook runs on the
-// solver's search goroutine, which is the caller's — bound() must be safe to
-// call from there.
-func installProgress(ctx context.Context, s *sat.Solver, blockIdx, lb int, bound func() int) {
-	every := obs.ProgressEvery(ctx)
-	if every <= 0 {
-		return
-	}
-	obs.AddProgress(ctx, obs.ProgressSample{Time: time.Now(), Block: blockIdx, Bound: bound(), LB: lb})
-	s.SetProgress(every, func(p sat.Progress) {
-		obs.AddProgress(ctx, obs.ProgressSample{
-			Time:         time.Now(),
-			Block:        blockIdx,
-			Bound:        bound(),
-			LB:           lb,
-			Conflicts:    p.Conflicts,
-			Restarts:     p.Restarts,
-			Propagations: p.Propagations,
-			Learnts:      p.Learnts,
-		})
-	})
-}
-
-// solveWithBudgets runs the encoder's solver in conflict chunks so that the
-// global conflict budget, the wall-clock deadline and context cancellation
-// are all honoured. It returns the final status and the number of conflicts
-// spent.
-func solveWithBudgets(ctx context.Context, enc encode.Encoder, remaining int64, deadline time.Time) (sat.Status, int64) {
-	s := enc.Solver()
-	const chunk = int64(20_000)
-	var spent int64
-	for {
-		budget := chunk
-		if remaining > 0 && remaining-spent < budget {
-			budget = remaining - spent
-			if budget <= 0 {
-				return sat.Unknown, spent
-			}
-		}
-		if deadlineExpired(deadline) {
-			return sat.Unknown, spent
-		}
-		s.SetConflictBudget(budget)
-		before := s.Conflicts
-		status := enc.Solve()
-		spent += s.Conflicts - before
-		if status != sat.Unknown {
-			s.SetConflictBudget(-1)
-			return status, spent
-		}
-		if ctx.Err() != nil {
-			return sat.Unknown, spent
-		}
-		if remaining > 0 && spent >= remaining {
-			return sat.Unknown, spent
-		}
-	}
 }
 
 // deadlineExpired reports whether a nonzero deadline has passed.

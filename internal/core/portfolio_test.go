@@ -20,8 +20,8 @@ func portfolioTestOptions() Options {
 }
 
 // TestPortfolioMatchesSequential: on the Table I gap suites the racing
-// solver must agree with the sequential solver on depth, optimality and
-// certificate — with and without clause sharing.
+// solver must agree with the unraced (one-strategy) solver on depth,
+// optimality and certificate — with and without clause sharing.
 func TestPortfolioMatchesSequential(t *testing.T) {
 	for pairs := 2; pairs <= 4; pairs++ {
 		for _, ins := range benchgen.GapSuite(14+int64(pairs), 10, 10, []int{pairs}, 2) {
@@ -158,9 +158,9 @@ func TestPortfolioBlockStats(t *testing.T) {
 	}
 }
 
-// TestPortfolioSingleNamedStrategy: naming one strategy must run it through
-// the racing layer (the "-strategies implies -portfolio" contract), not
-// silently fall back to the canonical sequential solver.
+// TestPortfolioSingleNamedStrategy: naming one strategy must run that
+// strategy alone (the "-strategies implies -portfolio" contract), not
+// silently fall back to the canonical one.
 func TestPortfolioSingleNamedStrategy(t *testing.T) {
 	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
 	opts := portfolioTestOptions()
@@ -208,6 +208,27 @@ func TestPortfolioTimeBudget(t *testing.T) {
 	}
 	if err := res.Partition.Validate(); err != nil {
 		t.Fatalf("invalid partition after timeout: %v", err)
+	}
+}
+
+// TestUndecidedHeadStartCountsSATCall: a budget that runs out during the
+// solo head start still counts the attempted bound as a SAT call, exactly
+// like the unraced solve of the same block. Fig. 1b's bound-4 refutation
+// needs 10 conflicts, so a 5-conflict budget leaves it undecided.
+func TestUndecidedHeadStartCountsSATCall(t *testing.T) {
+	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
+	for _, size := range []int{0, 3} {
+		opts := portfolioTestOptions()
+		opts.ConflictBudget = 5
+		opts.Portfolio.Size = size
+		res, err := Solve(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SATCalls != 1 || res.Conflicts != 5 || !res.TimedOut {
+			t.Errorf("portfolio size %d: SAT calls %d, conflicts %d, timed out %v; want 1, 5, true",
+				size, res.SATCalls, res.Conflicts, res.TimedOut)
+		}
 	}
 }
 

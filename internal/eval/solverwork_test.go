@@ -97,6 +97,44 @@ func solverWorkPins() []workPin {
 			depth: 886, conflicts: 1_595, satCalls: 9, optimal: 114,
 			sha: "c863bc0aa8e6b044dee1898fd44e9d65ae6025ede6f41aa3d931621eeebb7d71",
 		},
+		{
+			// One probe of ~25k conflicts crosses the narrowing loop's
+			// 20 000-conflict chunk boundary (a 30 000 chunk spends 25 164).
+			name: "chunk-boundary",
+			ms: func() []*bitmat.Matrix {
+				return matrices(benchgen.GapSuite(1203, 12, 12, []int{3, 4, 5}, 3)[5:6])
+			},
+			opts: func() core.Options {
+				opts := foolingOff()
+				opts.DisableSymmetryBreaking = true
+				return opts
+			},
+			depth: 11, conflicts: 25_502, satCalls: 1, optimal: 1,
+			sha: "4b05260eef176345c421b18e7e703a3c2a702df32a82260a8b83fffd68a3c334",
+		},
+		{
+			// The budget runs out inside a probe on one instance.
+			name: "budget-mid-probe",
+			ms:   func() []*bitmat.Matrix { return matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4)) },
+			opts: func() core.Options {
+				opts := foolingOff()
+				opts.ConflictBudget = 3_000
+				return opts
+			},
+			depth: 43, conflicts: 3_978, satCalls: 3, optimal: 3,
+			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
+		},
+		{
+			// A single named strategy runs alone through the one narrowing loop.
+			name: "single-named-strategy", ms: GapSuiteMatrices,
+			opts: func() core.Options {
+				opts := TableIGapSAPOptions()
+				opts.Portfolio.Strategies = []string{"luby"}
+				return opts
+			},
+			depth: 141, conflicts: 875, satCalls: 4, optimal: 20,
+			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
+		},
 	}
 }
 

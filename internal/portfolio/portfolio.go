@@ -8,13 +8,17 @@
 // so racing takes the per-instance minimum at the price of redundant work,
 // which clause sharing (see exchange.go) partly refunds.
 //
+// Race is also the narrowing loop when racing is off: with one strategy,
+// every round runs that strategy alone on the caller's goroutine.
+//
 // Determinism contract: a race only ever decides *statuses* (is depth ≤ b
 // feasible?), which are properties of the matrix and therefore identical no
 // matter which racer answers first — so depth, optimality and certificate
-// always match the sequential solver's. The winning partition is re-derived
-// by the caller with a fresh canonical solver at the proven bound, a pure
-// function of (matrix, bound, options), so the partition too is identical
-// regardless of race timing or which racer won (see core.solveBlockPortfolio).
+// always match the one-strategy loop's. When a competitor decided the last
+// satisfiable bound, the caller re-derives the partition with a
+// one-strategy race at that bound, a pure function of (matrix, bound,
+// options), so the partition too is identical regardless of race timing or
+// which racer won (see core.solveBlock).
 package portfolio
 
 import (

@@ -19,15 +19,15 @@ type RaceSpec struct {
 	// M is the (block) matrix.
 	M *bitmat.Matrix
 	// Block is the block's index within the enclosing solve — telemetry
-	// only (round spans and progress samples are labelled with it).
+	// only (progress samples are labelled with it).
 	Block int
-	// Start is the first bound to decide — heuristic depth − 1, exactly
-	// where the sequential narrowing loop starts.
+	// Start is the first bound to decide: heuristic depth − 1.
 	Start int
 	// LB is the lower bound: a bound proven satisfiable at LB ends the race
 	// (optimal by bound).
 	LB int
-	// Strategies are the racer configurations (at least one).
+	// Strategies are the racer configurations (at least one). With one
+	// strategy every round is solo.
 	Strategies []Strategy
 	// StrategyBudgets optionally caps each racer's lifetime conflicts
 	// across the whole race (aligned with Strategies; ≤ 0 = uncapped). A
@@ -36,15 +36,16 @@ type RaceSpec struct {
 	StrategyBudgets []int64
 	// ConflictBudget is the block's shared budget with winner-side
 	// accounting: only the round winner's conflicts are charged, so racing
-	// does not exhaust a budget K× faster than the sequential loop. ≤ 0
-	// means unlimited.
+	// does not exhaust a budget K× faster than a solo race. ≤ 0 means
+	// unlimited.
 	ConflictBudget int64
 	// Deadline is the shared wall-clock deadline (zero = none).
 	Deadline time.Time
 	// ShareClauses exchanges short glue clauses between same-family racers.
 	ShareClauses bool
-	// Chunk is the conflict-chunk size between cancellation/import points
-	// (default 4096).
+	// Chunk is the conflict-chunk size of raced rounds between
+	// cancellation/import points (default 4096). Solo rounds run in chunks
+	// of soloChunk.
 	Chunk int64
 	// HeadStart delays the portfolio: the first strategy runs alone with
 	// this many conflicts per round, and the competitors are only built
@@ -64,37 +65,47 @@ type Outcome struct {
 	// Start bound itself when BestBound is −1) was proven unsatisfiable, so
 	// the depth BestBound+1 (resp. Start+1) is optimal.
 	UnsatProven bool
-	// Rounds is the number of depth-decision rounds run (SAT calls).
+	// Rounds is the number of depth-decision rounds attempted (SAT calls),
+	// decided or not.
 	Rounds int
 	// Wins counts round wins per strategy name.
 	Wins map[string]int
 	// Winner is the strategy that decided the final round ("" when the race
 	// ended on budgets rather than a verdict).
 	Winner string
-	// WinnerConflicts is the total conflicts spent by round winners — the
-	// work the sequential loop would also have had to do.
+	// WinnerConflicts is the total conflicts spent by solo rounds and round
+	// winners — the work charged against ConflictBudget.
 	WinnerConflicts int64
 	// LoserConflicts is the total conflicts spent by cancelled or exhausted
 	// racers — the cost of racing.
 	LoserConflicts int64
 	// SharedExported and SharedImported count exchange traffic.
 	SharedExported, SharedImported int64
-	// Partition is the model of the final satisfiable round when that round
-	// was decided by the solo head-start phase (a deterministic
-	// single-solver narrowing loop, so the model needs no canonical
-	// re-derivation) — including races that escalated only afterwards, for
-	// the closing UNSAT round. nil when a competitor decided the final
-	// satisfiable bound or no bound was proven satisfiable.
+	// Partition is the model of the final satisfiable round when a solo
+	// round decided it (every round of a one-strategy race, the head start
+	// of a larger one): a deterministic single-solver narrowing loop, so the
+	// model needs no canonical re-derivation — including races that
+	// escalated only afterwards, for the closing UNSAT round. nil when a
+	// competitor decided the final satisfiable bound or no bound was proven
+	// satisfiable.
 	Partition *rect.Partition
+	// Err is a failed model readout of a solo satisfiable round; the race
+	// stops at that bound.
+	Err error
 	// Escalated reports that the competitors were actually built and
-	// raced (false = the solo head start decided every round).
+	// raced (false = solo rounds decided every round).
 	Escalated bool
 	// TimedOut reports that budgets, the deadline or cancellation ended the
 	// race before a verdict.
 	TimedOut bool
-	// Canceled reports the context was canceled.
+	// Canceled reports the context was canceled (and the budget was not
+	// what ran out).
 	Canceled bool
 }
+
+// soloChunk is the conflict chunk of a solo round: between chunks the
+// deadline and the context are re-checked.
+const soloChunk = 20_000
 
 // racer is one strategy's persistent state across rounds.
 type racer struct {
@@ -109,15 +120,19 @@ type racer struct {
 	out      bool // dropped out (cap exhausted)
 }
 
-// Race runs the per-bound strategy competition from spec.Start down to
-// spec.LB. The first strategy starts alone; when a round survives its
-// conflict head start, the remaining strategies are built (at spec.Start,
-// so their variable layouts match for clause sharing, then narrowed into
-// lockstep) and every subsequent decision is raced: one goroutine per live
-// racer, the first to decide the bound wins, and the rest are cancelled
-// through SetInterrupt. Racers keep their solver state (learnt clauses,
-// phases, activities) across rounds, narrowing in lockstep after every
-// satisfiable verdict.
+// Race is the SAP narrowing loop (Algorithm 1, lines 2–10): it decides the
+// bounds from spec.Start down to spec.LB, one round per bound, until a bound
+// is UNSAT, the lower bound is reached or a budget runs out. A solo round
+// runs the first strategy alone on the caller's goroutine, in chunks of
+// soloChunk conflicts. With one strategy every round is solo and records a
+// probe span. With more, each round records a round span; the first
+// strategy runs solo only for the HeadStart, and when a round survives it
+// the remaining strategies are built (at spec.Start, so their variable
+// layouts match for clause sharing, then narrowed into lockstep) and every
+// later decision is raced: one goroutine per live racer, the first to
+// decide the bound wins, and the rest are cancelled through SetInterrupt.
+// Racers keep their solver state (learnt clauses, phases, activities)
+// across rounds, narrowing in lockstep after every satisfiable verdict.
 func Race(ctx context.Context, spec RaceSpec) *Outcome {
 	out := &Outcome{BestBound: -1, Wins: map[string]int{}}
 	if spec.Start < spec.LB || len(spec.Strategies) == 0 {
@@ -131,6 +146,7 @@ func Race(ctx context.Context, spec RaceSpec) *Outcome {
 	if headStart == 0 {
 		headStart = 3000
 	}
+	racing := len(spec.Strategies) > 1
 
 	var ex *Exchange
 	attachHook := func(r *racer) {
@@ -163,8 +179,11 @@ func Race(ctx context.Context, spec RaceSpec) *Outcome {
 		return r
 	}
 
-	racers := []*racer{newRacer(0)}
+	lead := newRacer(0)
+	racers := []*racer{lead}
+	stopProgress := lead.progress(ctx, spec.Block, spec.LB)
 	defer func() {
+		stopProgress()
 		for _, r := range racers {
 			r.enc.Solver().SetLearntHook(nil)
 		}
@@ -176,26 +195,13 @@ func Race(ctx context.Context, spec RaceSpec) *Outcome {
 		}
 	}()
 
-	// The solo phase captures the model of each Sat round it decides; the
-	// capture survives escalation and is returned whenever it still matches
-	// the final BestBound, so a race that escalates only for the closing
-	// UNSAT round spares the caller the canonical re-derivation.
-	var soloPartition *rect.Partition
-	soloBound := -2
-	defer func() {
-		if soloPartition != nil && out.BestBound == soloBound {
-			out.Partition = soloPartition
-		} else {
-			out.Partition = nil
-		}
-	}()
-
 	// escalate builds the competitors at spec.Start (identical variable
 	// layout per family, so sharing stays sound) and narrows them into the
-	// current round's bound.
+	// current round's bound. Raced rounds carry no progress hook.
 	escalate := func(b int) {
 		out.Escalated = true
-		attachHook(racers[0])
+		stopProgress()
+		attachHook(lead)
 		for i := 1; i < len(spec.Strategies); i++ {
 			r := newRacer(i)
 			for nb := spec.Start; nb > b; nb-- {
@@ -207,91 +213,75 @@ func Race(ctx context.Context, spec RaceSpec) *Outcome {
 	}
 
 	remaining := spec.ConflictBudget // ≤0: unlimited
-	charge := func(winSpent int64) bool {
-		if spec.ConflictBudget <= 0 {
-			return true
+	charge := func(n int64) {
+		out.WinnerConflicts += n
+		if spec.ConflictBudget > 0 {
+			remaining -= n
 		}
-		remaining -= winSpent
-		return remaining > 0
+	}
+	exhausted := func() bool { return spec.ConflictBudget > 0 && remaining <= 0 }
+	spanName := "probe"
+	if racing {
+		spanName = "round"
 	}
 
 	for b := spec.Start; b >= spec.LB; b-- {
-		var (
-			status    sat.Status
-			winner    int
-			winSpent  int64
-			loseSpent int64
-		)
-		_, rsp := obs.StartSpan(ctx, "round")
-		rsp.SetAttrInt("bound", int64(b))
-		solo := !out.Escalated && len(spec.Strategies) > 1 && headStart > 0
-		if solo {
-			stopProgress := soloProgress(ctx, racers[0], spec.Block, b, spec.LB)
-			status, winSpent = racers[0].soloAttempt(ctx, spec.Deadline, headStart, remaining)
-			stopProgress()
-			out.WinnerConflicts += winSpent
-			if status == sat.Unknown {
-				if ctx.Err() != nil || deadlineExpired(spec.Deadline) || !charge(winSpent) {
-					out.TimedOut = true
-					out.Canceled = ctx.Err() != nil
-					out.Winner = "" // any earlier round's winner did not decide this block
-					rsp.SetAttr("status", status.String())
-					rsp.End()
-					return out
-				}
-				// Note: a lead racer that exhausted its own strategy cap
-				// also lands here — the competitors still get their shot.
-				// The head start was not enough: bring in the portfolio and
-				// re-run this bound as a full race (racer 0 keeps its
-				// learnt state and continues from where it stopped).
-				escalate(b)
-				status, winner, winSpent, loseSpent = runRound(ctx, racers, spec.Deadline, chunk, remaining)
-				out.WinnerConflicts += winSpent
-				out.LoserConflicts += loseSpent
+		out.Rounds++
+		_, sp := obs.StartSpan(ctx, spanName)
+		sp.SetAttrInt("bound", int64(b))
+		status, winner, spent := sat.Unknown, 0, int64(0)
+		if !out.Escalated && (!racing || headStart > 0) {
+			roundCap := remaining
+			if racing && (roundCap <= 0 || headStart < roundCap) {
+				roundCap = headStart
 			}
-		} else {
-			if !out.Escalated && len(spec.Strategies) > 1 {
+			status, spent = lead.solveRound(ctx, spec.Deadline, nil, soloChunk, roundCap)
+			charge(spent)
+		}
+		// Once escalated, or with no head start, every round is raced. A head
+		// start that ran out (the lead's own strategy cap included) escalates
+		// and re-runs this bound as a full race; the lead keeps its learnt
+		// state and continues from where it stopped.
+		if status == sat.Unknown && racing && ctx.Err() == nil && !deadlineExpired(spec.Deadline) && !exhausted() {
+			if !out.Escalated {
 				escalate(b)
 			}
+			var winSpent, loseSpent int64
 			status, winner, winSpent, loseSpent = runRound(ctx, racers, spec.Deadline, chunk, remaining)
-			out.WinnerConflicts += winSpent
+			charge(winSpent)
+			spent += winSpent
 			out.LoserConflicts += loseSpent
 		}
-		out.Rounds++
+		sp.SetAttr("status", status.String())
+		if racing && status != sat.Unknown {
+			sp.SetAttr("winner", racers[winner].strat.Name)
+		}
+		sp.SetAttrInt("conflicts", spent)
+		sp.End()
 		if status == sat.Unknown {
 			out.TimedOut = true
-			out.Canceled = ctx.Err() != nil
+			out.Canceled = ctx.Err() != nil && !exhausted()
 			out.Winner = "" // any earlier round's winner did not decide this block
-			rsp.SetAttr("status", status.String())
-			rsp.End()
 			return out
 		}
-		name := racers[winner].strat.Name
-		out.Wins[name]++
-		out.Winner = name
-		rsp.SetAttr("status", status.String())
-		rsp.SetAttr("winner", name)
-		rsp.SetAttrInt("conflicts", winSpent)
-		rsp.End()
+		out.Winner = racers[winner].strat.Name
+		out.Wins[out.Winner]++
 		if status == sat.Unsat {
 			out.UnsatProven = true
 			return out
 		}
-		out.BestBound = b
+		out.BestBound, out.Partition = b, nil
 		if !out.Escalated {
-			// Solo phase: capture the model now — it is the deterministic
-			// narrowing loop's own partition, so the caller can skip the
-			// canonical re-derivation. A readout failure just falls back.
-			if p, err := racers[0].enc.ReadPartition(); err == nil {
-				soloPartition, soloBound = p, b
-			} else {
-				soloPartition = nil
+			// A solo round's model is the deterministic narrowing loop's
+			// own partition, so the caller can skip the re-derivation.
+			if out.Partition, out.Err = lead.enc.ReadPartition(); out.Err != nil {
+				return out
 			}
 		}
 		if b == spec.LB {
 			return out // optimal by bound
 		}
-		if !charge(winSpent) {
+		if exhausted() {
 			out.TimedOut = true
 			out.Winner = "" // the block's final round went undecided
 			return out
@@ -303,22 +293,26 @@ func Race(ctx context.Context, spec RaceSpec) *Outcome {
 	return out
 }
 
-// soloProgress installs the sampled search-telemetry hook on the lead racer
-// for one solo round and returns the uninstaller. Solo only: the hook and
-// soloAttempt run on Race's own goroutine, so the captured bound needs no
-// synchronization — raced rounds (runRound) deliberately carry no hook.
-// No-op on untraced contexts.
-func soloProgress(ctx context.Context, r *racer, block, bound, lb int) func() {
+// progress installs the sampled search-telemetry hook on the racer for the
+// whole race and returns its uninstaller. An initial sample marks the SAT
+// stage start, so every traced block that reaches SAT has at least one
+// sample even when it decides in fewer conflicts than the sampling
+// interval. The hook reads the racer's live bound; it runs only in solo
+// rounds, on Race's own goroutine, so the read needs no synchronization
+// (escalate uninstalls it before any raced round). No-op on untraced
+// contexts.
+func (r *racer) progress(ctx context.Context, block, lb int) func() {
 	every := obs.ProgressEvery(ctx)
 	if every <= 0 {
 		return func() {}
 	}
+	obs.AddProgress(ctx, obs.ProgressSample{Time: time.Now(), Block: block, Bound: r.enc.Bound(), LB: lb})
 	s := r.enc.Solver()
 	s.SetProgress(every, func(p sat.Progress) {
 		obs.AddProgress(ctx, obs.ProgressSample{
 			Time:         time.Now(),
 			Block:        block,
-			Bound:        bound,
+			Bound:        r.enc.Bound(),
 			LB:           lb,
 			Conflicts:    p.Conflicts,
 			Restarts:     p.Restarts,
@@ -327,42 +321,6 @@ func soloProgress(ctx context.Context, r *racer, block, bound, lb int) func() {
 		})
 	})
 	return func() { s.SetProgress(0, nil) }
-}
-
-// soloAttempt is the head-start phase of a round: the lead racer alone, one
-// bounded budget, no competitors to cancel it.
-func (r *racer) soloAttempt(ctx context.Context, deadline time.Time, headStart, roundCap int64) (sat.Status, int64) {
-	if ctx.Err() != nil || deadlineExpired(deadline) {
-		return sat.Unknown, 0
-	}
-	budget := headStart
-	if r.cap > 0 {
-		rem := r.cap - r.spent
-		if rem <= 0 {
-			r.out = true
-			return sat.Unknown, 0
-		}
-		if rem < budget {
-			budget = rem
-		}
-	}
-	if roundCap > 0 && roundCap < budget {
-		budget = roundCap
-	}
-	s := r.enc.Solver()
-	s.SetInterrupt(func() bool { return ctx.Err() != nil })
-	defer s.SetInterrupt(nil)
-	s.SetConflictBudget(budget)
-	before := s.Conflicts
-	st := r.enc.Solve()
-	spent := s.Conflicts - before
-	r.spent += spent
-	if st != sat.Unknown {
-		s.SetConflictBudget(-1)
-	} else if r.cap > 0 && r.cap-r.spent <= 0 {
-		r.out = true
-	}
-	return st, spent
 }
 
 // runRound races all live racers on the current bound. It returns the round
@@ -418,7 +376,9 @@ func runRound(ctx context.Context, racers []*racer, deadline time.Time, chunk, r
 
 // solveRound runs one racer's conflict-chunked solve loop for the current
 // bound, polling the round's done channel and the context through the
-// solver interrupt so a decided round cancels mid-search.
+// solver interrupt so a decided round cancels mid-search. A solo round
+// passes a nil done. roundCap bounds the racer's spend this round (≤0 =
+// unbounded).
 func (r *racer) solveRound(ctx context.Context, deadline time.Time, done <-chan struct{}, chunk, roundCap int64) (sat.Status, int64) {
 	s := r.enc.Solver()
 	s.SetInterrupt(func() bool {

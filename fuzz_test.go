@@ -5,10 +5,12 @@ package ebmf_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	ebmf "repro"
+	"repro/internal/fooling"
 	"repro/internal/rowpack"
 	"repro/internal/sat"
 )
@@ -147,9 +149,21 @@ func FuzzDIMACS(f *testing.F) {
 }
 
 // FuzzRowPack: row packing on arbitrary matrices must always produce a
-// valid partition no worse than trivial.
+// valid partition no worse than trivial. The solver's two early stops must
+// not change a result either: packing down to a lower bound returns Pack's
+// rectangles, and the fooling search capped at the packed depth returns
+// Exact's set.
 func FuzzRowPack(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(4), "1011")
+	// Fig. 1b: the fooling bound (5) beats rank (4), so packing down to
+	// rank runs every trial and the capped search stops at the packed depth.
+	f.Add(int64(1), uint8(5), uint8(5), "101100010011101010010101111000000111")
+	// Rank-certified: Trivial is one above rank and a trial meets it, while
+	// the maximum fooling set (4) stays below the cap.
+	f.Add(int64(1), uint8(5), uint8(5), "111111101110111010001111001010101100")
+	// Greedy finds 5, so the capped search reaches the packed depth (6)
+	// inside the branch-and-bound rather than at its greedy seed.
+	f.Add(int64(1), uint8(5), uint8(5), "110011001100001010011000111100010001")
 	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint8, bits string) {
 		r := int(rows%8) + 1
 		c := int(cols%8) + 1
@@ -159,12 +173,28 @@ func FuzzRowPack(f *testing.F) {
 				m.Set(idx/c, idx%c, true)
 			}
 		}
-		p := rowpack.Pack(m, rowpack.Options{Trials: 2, Seed: seed})
+		opts := rowpack.Options{Trials: 2, Seed: seed}
+		p := rowpack.Pack(m, opts)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("invalid: %v\n%s", err, m)
 		}
 		if p.Depth() > m.TrivialUpperBound() {
 			t.Fatalf("worse than trivial")
+		}
+		for _, lb := range []int{m.Rank(), len(fooling.Greedy(m))} {
+			if got := rowpack.PackDownTo(m, opts, lb); got.String() != p.String() {
+				t.Fatalf("PackDownTo(lb=%d) = %sPack = %s%s", lb, got, p, m)
+			}
+		}
+		for _, budget := range []int64{3, 100_000} {
+			want, wantOK := fooling.Exact(m, budget)
+			got, gotOK := fooling.ExactUpTo(m, budget, p.Depth())
+			if !slices.Equal(got, want) {
+				t.Fatalf("budget %d: ExactUpTo(ub=%d) = %v, Exact = %v\n%s", budget, p.Depth(), got, want, m)
+			}
+			if gotOK != wantOK && (wantOK || len(got) != p.Depth()) {
+				t.Fatalf("budget %d: ExactUpTo ok %v, Exact ok %v, set size %d, cap %d", budget, gotOK, wantOK, len(got), p.Depth())
+			}
 		}
 	})
 }

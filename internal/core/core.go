@@ -228,7 +228,9 @@ type Result struct {
 	Conflicts int64
 	// PackTime and SATTime split the runtime by stage (Figure 4's split),
 	// summed over blocks — with Parallelism > 1 these are aggregate
-	// per-block times and may exceed the wall clock.
+	// per-block times and may exceed the wall clock. PackTime times packing
+	// only until it meets the block's rank bound (rowpack.PackDownTo), so
+	// a rank-certified block's share is a fraction of a full Pack's.
 	PackTime, SATTime time.Duration
 	// Portfolio carries racing provenance (nil when racing was off). With
 	// racing on, Conflicts includes the cancelled racers' work; the
@@ -511,9 +513,12 @@ func apportionConflicts(total int64, blocks []bitmat.Block) []int64 {
 	return out
 }
 
-// solveBlock runs Algorithm 1 — heuristic pack, lower bounds, SAT narrowing —
-// on one connected block. The returned Result carries a block-local partition
-// (not yet lifted or validated) plus the block's provenance fields.
+// solveBlock runs Algorithm 1 on one connected block, bounds first: rank,
+// then row packing down to the rank bound, then the fooling search capped at
+// the packed depth, then SAT narrowing from the packed depth − 1. Both stops
+// leave the result exactly as an uncapped run would (see PackDownTo and
+// ExactUpTo). The returned Result carries a block-local partition (not yet
+// lifted or validated) plus the block's provenance fields.
 func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Options, conflictBudget int64, deadline time.Time) (*Result, error) {
 	res := &Result{Blocks: 1}
 	if m.Ones() == 0 {
@@ -533,20 +538,22 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		bsp.SetAttrInt("conflicts", res.Conflicts)
 	}()
 
+	// The rank bound (Eq. 3) first: packing need not go below it.
+	res.RankLB = m.Rank()
+
 	// Stage 1: heuristic upper bound (Algorithm 1, line 1).
 	t0 := time.Now()
 	_, psp := obs.StartSpan(ctx, "pack")
-	best := rowpack.Pack(m, opts.Packing)
+	best := rowpack.PackDownTo(m, opts.Packing, res.RankLB)
 	psp.SetAttrInt("depth", int64(best.Depth()))
 	psp.End()
 	res.PackTime = time.Since(t0)
 	res.HeuristicDepth = best.Depth()
 
-	// Lower bounds.
-	res.RankLB = m.Rank()
+	// The fooling bound, which cannot exceed the packed depth.
 	lb := res.RankLB
 	if opts.FoolingBudget > 0 {
-		fs, _ := fooling.Exact(m, opts.FoolingBudget)
+		fs, _ := fooling.ExactUpTo(m, opts.FoolingBudget, best.Depth())
 		res.FoolingLB = len(fs)
 		if res.FoolingLB > lb {
 			lb = res.FoolingLB

@@ -14,11 +14,12 @@ import (
 )
 
 // The solver-work pins: for each committed suite on the default solve path,
-// the summed depth, SAT conflicts and SAT calls, plus a SHA-256 over every
-// partition as index lists. All of them repeat exactly per input, so a
-// change that means to leave the search alone (a refactor, a deleted
-// ablation) must leave every value here unchanged, and a change that means
-// to move the search states its new values in review.
+// the summed depth, SAT conflicts, SAT calls, rank and fooling lower bounds
+// and heuristic depth, plus a SHA-256 over every partition as index lists.
+// All of them repeat exactly per input, so a change that means to leave the
+// search alone (a refactor, a deleted ablation) must leave every value here
+// unchanged, and a change that means to move the search states its new
+// values in review.
 //
 // Reproduce one row: go test -count=1 -run TestSolverWorkPins -v ./internal/eval/
 
@@ -31,6 +32,9 @@ type workPin struct {
 	conflicts int64
 	satCalls  int
 	optimal   int // instances proved optimal
+	rankLB    int
+	foolingLB int
+	heuristic int // summed Result.HeuristicDepth
 	sha       string
 }
 
@@ -67,24 +71,28 @@ func solverWorkPins() []workPin {
 		{
 			name: "table-i-gap", ms: GapSuiteMatrices, opts: TableIGapSAPOptions,
 			depth: 141, conflicts: 887, satCalls: 4, optimal: 20,
+			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
 		{
 			name: "blockdiag-decomposed", ms: BlockDiagSAPMatrices,
 			opts:  func() core.Options { return BlockDiagSAPOptions(true) },
 			depth: 75, conflicts: 141, satCalls: 1, optimal: 3,
+			rankLB: 74, heuristic: 75,
 			sha: "a175b932e75a2cf99776824d45fce5055f9755222fb450f945ae6e64e8c086db",
 		},
 		{
 			name: "blockdiag-whole", ms: BlockDiagSAPMatrices,
 			opts:  func() core.Options { return BlockDiagSAPOptions(false) },
 			depth: 75, conflicts: 11_708, satCalls: 1, optimal: 3,
+			rankLB: 74, heuristic: 75,
 			sha: "c474c8b20ab9f8cfa9d618b3f5c66cc72eda470202dfdeb5a17f141620caae17",
 		},
 		{
 			name: "gap-12x12-p3",
 			ms:   func() []*bitmat.Matrix { return matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4)) },
 			opts: foolingOff, depth: 43, conflicts: 4_233, satCalls: 3, optimal: 4,
+			rankLB: 39, heuristic: 43,
 			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
 		},
 		{
@@ -95,6 +103,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 886, conflicts: 1_595, satCalls: 9, optimal: 114,
+			rankLB: 876, heuristic: 886,
 			sha: "c863bc0aa8e6b044dee1898fd44e9d65ae6025ede6f41aa3d931621eeebb7d71",
 		},
 		{
@@ -110,6 +119,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 11, conflicts: 25_502, satCalls: 1, optimal: 1,
+			rankLB: 9, heuristic: 11,
 			sha: "4b05260eef176345c421b18e7e703a3c2a702df32a82260a8b83fffd68a3c334",
 		},
 		{
@@ -122,6 +132,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 43, conflicts: 3_978, satCalls: 3, optimal: 3,
+			rankLB: 39, heuristic: 43,
 			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
 		},
 		{
@@ -133,7 +144,24 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 141, conflicts: 875, satCalls: 4, optimal: 20,
+			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
+		},
+		{
+			// The path the daemons run: default options (fooling bound on)
+			// under the load benchmark's per-request conflict budget.
+			name: "daemon-default",
+			ms: func() []*bitmat.Matrix {
+				return append(paperSuitesSmall(), matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4))...)
+			},
+			opts: func() core.Options {
+				opts := core.DefaultOptions()
+				opts.ConflictBudget = 1_000
+				return opts
+			},
+			depth: 929, conflicts: 2_345, satCalls: 7, optimal: 117,
+			rankLB: 915, foolingLB: 830, heuristic: 929,
+			sha: "8bf5c46ce4a68f321d63abc5f2e4d20f565872d364cd95e54beb0185a9543334",
 		},
 	}
 }
@@ -157,9 +185,10 @@ func TestSolverWorkPins(t *testing.T) {
 		t.Run(pin.name, func(t *testing.T) {
 			opts := pin.opts()
 			var (
-				depth, calls, optimal int
-				conflicts             int64
-				results               []*core.Result
+				depth, calls, optimal        int
+				rankLB, foolingLB, heuristic int
+				conflicts                    int64
+				results                      []*core.Result
 			)
 			for i, m := range pin.ms() {
 				res, err := core.Solve(m, opts)
@@ -169,17 +198,24 @@ func TestSolverWorkPins(t *testing.T) {
 				depth += res.Depth
 				conflicts += res.Conflicts
 				calls += res.SATCalls
+				rankLB += res.RankLB
+				foolingLB += res.FoolingLB
+				heuristic += res.HeuristicDepth
 				if res.Optimal {
 					optimal++
 				}
 				results = append(results, res)
 			}
 			sha := partitionDigest(results)
-			t.Logf("%d instances: depth %d, conflicts %d, SAT calls %d, optimal %d, partitions %s",
-				len(results), depth, conflicts, calls, optimal, sha)
+			t.Logf("%d instances: depth %d, conflicts %d, SAT calls %d, optimal %d, rank LB %d, fooling LB %d, heuristic depth %d, partitions %s",
+				len(results), depth, conflicts, calls, optimal, rankLB, foolingLB, heuristic, sha)
 			if depth != pin.depth || conflicts != pin.conflicts || calls != pin.satCalls || optimal != pin.optimal {
 				t.Errorf("depth/conflicts/calls/optimal = %d/%d/%d/%d, pinned %d/%d/%d/%d",
 					depth, conflicts, calls, optimal, pin.depth, pin.conflicts, pin.satCalls, pin.optimal)
+			}
+			if rankLB != pin.rankLB || foolingLB != pin.foolingLB || heuristic != pin.heuristic {
+				t.Errorf("rank LB/fooling LB/heuristic depth = %d/%d/%d, pinned %d/%d/%d",
+					rankLB, foolingLB, heuristic, pin.rankLB, pin.foolingLB, pin.heuristic)
 			}
 			if sha != pin.sha {
 				t.Errorf("partition digest %s, pinned %s", sha, pin.sha)

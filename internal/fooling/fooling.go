@@ -146,7 +146,10 @@ func buildGraph(m *bitmat.Matrix) *graph {
 // built by repeatedly taking the candidate entry with the most remaining
 // compatible candidates.
 func Greedy(m *bitmat.Matrix) [][2]int {
-	g := buildGraph(m)
+	return greedy(buildGraph(m))
+}
+
+func greedy(g *graph) [][2]int {
 	n := len(g.pos)
 	if n == 0 {
 		return nil
@@ -183,16 +186,30 @@ func degreeWithin(adj, cand bitset) int {
 // Exact returns a maximum fooling set of m, found by branch-and-bound max
 // clique, and whether the search completed within the node budget. When the
 // budget is exhausted, the best set found so far is returned with ok=false.
-// A budget ≤ 0 means unlimited.
+// A budget ≤ 0 means unlimited. It is ExactUpTo with no cap.
 func Exact(m *bitmat.Matrix, budget int64) (set [][2]int, ok bool) {
+	return ExactUpTo(m, budget, 0)
+}
+
+// ExactUpTo is Exact that stops as soon as it holds a set of size ub. When
+// ub is an upper bound on the maximum fooling set size (the depth of any
+// valid partition of m is one), the set is exactly Exact's: Exact replaces
+// its set only by a strictly larger one, and none is larger than ub. ok is
+// true when the search completed within the budget or the cap proved the
+// set maximum, so it can be true where Exact's budget would have run out.
+// An ub ≤ 0 means no cap.
+func ExactUpTo(m *bitmat.Matrix, budget int64, ub int) (set [][2]int, ok bool) {
 	g := buildGraph(m)
 	n := len(g.pos)
 	if n == 0 {
 		return nil, true
 	}
 	// Seed the incumbent with the greedy solution.
-	best := Greedy(m)
+	best := greedy(g)
 	bestSize := len(best)
+	if ub > 0 && bestSize >= ub {
+		return best, true
+	}
 
 	cand := newBitset(n)
 	for i := 0; i < n; i++ {
@@ -200,12 +217,12 @@ func Exact(m *bitmat.Matrix, budget int64) (set [][2]int, ok bool) {
 	}
 	var cur []int
 	nodes := int64(0)
-	exceeded := false
+	exceeded, capped := false, false
 
 	var bestIdx []int
 	var rec func(cand bitset)
 	rec = func(cand bitset) {
-		if exceeded {
+		if exceeded || capped {
 			return
 		}
 		nodes++
@@ -221,6 +238,7 @@ func Exact(m *bitmat.Matrix, budget int64) (set [][2]int, ok bool) {
 			if len(cur) > bestSize {
 				bestSize = len(cur)
 				bestIdx = append(bestIdx[:0], cur...)
+				capped = ub > 0 && bestSize >= ub
 			}
 			return
 		}
@@ -241,7 +259,7 @@ func Exact(m *bitmat.Matrix, budget int64) (set [][2]int, ok bool) {
 			cur = append(cur, v)
 			rec(next)
 			cur = cur[:len(cur)-1]
-			if exceeded {
+			if exceeded || capped {
 				return
 			}
 		}

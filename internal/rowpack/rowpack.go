@@ -99,13 +99,27 @@ func trivialCols(m *bitmat.Matrix) *rect.Partition {
 
 // Pack runs the row-packing heuristic and returns the best partition found
 // across trials and orientations. The result is always a valid EBMF of m and
-// never worse than the trivial heuristic.
+// never worse than the trivial heuristic. It is PackDownTo with no bound.
 func Pack(m *bitmat.Matrix, opts Options) *rect.Partition {
+	return PackDownTo(m, opts, 0)
+}
+
+// PackDownTo is Pack that returns as soon as its best depth is at most lb:
+// before any trial or transpose when Trivial already meets lb, otherwise
+// after the first trial that does. When lb is a lower bound on m's binary
+// rank (m.Rank() is one), the result is exactly Pack's: Pack starts from
+// Trivial and keeps a trial only on a strictly smaller depth, no valid
+// partition goes below lb, and the shuffling RNG is local to the call. With
+// lb ≤ 0 every trial runs (a zero matrix has nothing to pack).
+func PackDownTo(m *bitmat.Matrix, opts Options, lb int) *rect.Partition {
 	if opts.Trials < 1 {
 		opts.Trials = 1
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	best := Trivial(m)
+	if best.Depth() <= lb {
+		return best
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
 
 	run := func(target *bitmat.Matrix, transposed bool) {
 		perm := orderFor(rng, target, opts)
@@ -118,10 +132,13 @@ func Pack(m *bitmat.Matrix, opts Options) *rect.Partition {
 		}
 	}
 
-	mt := m.Transpose()
-	for trial := 0; trial < opts.Trials; trial++ {
+	var mt *bitmat.Matrix
+	for trial := 0; trial < opts.Trials && best.Depth() > lb; trial++ {
 		run(m, false)
-		if !opts.SkipTranspose {
+		if !opts.SkipTranspose && best.Depth() > lb {
+			if mt == nil {
+				mt = m.Transpose()
+			}
 			run(mt, true)
 		}
 		if opts.Order != OrderShuffle {

@@ -254,9 +254,10 @@ func FuzzFingerprintInvariance(f *testing.F) {
 // list (outer slice and one shared backing array); Decompose the record, the
 // block slice, one shared array each for the row lists, column lists, matrix
 // headers and matrix words; ComputeFingerprint the Compress outputs plus the
-// record, hash string, canonical matrix and both maps. Counts are exact, so
-// one extra allocation fails; sync.Pool drops items at random under the race
-// detector, so the pins run only without it.
+// record, hash string, canonical matrix and both maps. Rank, a cold-path
+// kernel, is pinned after them. Counts are exact, so one extra allocation
+// fails; sync.Pool drops items at random under the race detector, so the
+// pins run only without it.
 func TestKernelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -281,6 +282,21 @@ func TestKernelAllocs(t *testing.T) {
 			if got := testing.AllocsPerRun(200, k.fn); got != k.want {
 				t.Errorf("%s(%s): %v allocs per run, want %v", k.kernel, tc.name, got, k.want)
 			}
+		}
+	}
+	// Rank on two matrices the modular pass cannot certify, so the exact
+	// elimination runs: its matrix is one slab, but big.Int products still
+	// allocate as they grow (one big.Int per entry made 110 and 255).
+	for _, tc := range []struct {
+		name string
+		m    *Matrix
+		want float64
+	}{
+		{"fig1b", MustParse(fig1b), 50},
+		{"random10", Random(rand.New(rand.NewSource(1)), 10, 10, 0.3), 106},
+	} {
+		if got := testing.AllocsPerRun(200, func() { tc.m.Rank() }); got != tc.want {
+			t.Errorf("Rank(%s): %v allocs per run, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -32,9 +32,10 @@ func (m *Matrix) Rank() int {
 // lower bound on the rational rank (a nonzero minor over ℚ may vanish mod p,
 // never the reverse for 0/1 matrices reduced mod p).
 func (m *Matrix) rankMod(p uint64) int {
+	slab := make([]uint64, m.rows*m.cols)
 	a := make([][]uint64, m.rows)
 	for i := range a {
-		a[i] = make([]uint64, m.cols)
+		a[i] = slab[i*m.cols : (i+1)*m.cols]
 		for j := 0; j < m.cols; j++ {
 			if m.Get(i, j) {
 				a[i][j] = 1
@@ -93,21 +94,22 @@ func modPow(base, exp, mod uint64) uint64 {
 // rankBareiss computes the exact rational rank with fraction-free Bareiss
 // elimination over big.Int. All intermediate values are exact integers, so
 // there is no rounding; a row is dependent iff it eliminates to exact zero.
+// The entries live on one slab; rows swap as slice headers, so a pointer
+// to an entry stays valid.
 func (m *Matrix) rankBareiss() int {
-	a := make([][]*big.Int, m.rows)
+	slab := make([]big.Int, m.rows*m.cols)
+	a := make([][]big.Int, m.rows)
 	for i := range a {
-		a[i] = make([]*big.Int, m.cols)
+		a[i] = slab[i*m.cols : (i+1)*m.cols]
 		for j := 0; j < m.cols; j++ {
 			if m.Get(i, j) {
-				a[i][j] = big.NewInt(1)
-			} else {
-				a[i][j] = big.NewInt(0)
+				a[i][j].SetInt64(1)
 			}
 		}
 	}
 	prev := big.NewInt(1)
 	rank := 0
-	tmp := new(big.Int)
+	tmp, f := new(big.Int), new(big.Int)
 	for col := 0; col < m.cols && rank < m.rows; col++ {
 		pivot := -1
 		for r := rank; r < m.rows; r++ {
@@ -120,18 +122,19 @@ func (m *Matrix) rankBareiss() int {
 			continue
 		}
 		a[rank], a[pivot] = a[pivot], a[rank]
-		p := a[rank][col]
+		p := &a[rank][col]
 		for r := rank + 1; r < m.rows; r++ {
-			f := new(big.Int).Set(a[r][col])
+			f.Set(&a[r][col])
 			for j := col; j < m.cols; j++ {
 				// a[r][j] = (p*a[r][j] - f*a[rank][j]) / prev   (exact division)
-				tmp.Mul(f, a[rank][j])
-				a[r][j].Mul(p, a[r][j])
-				a[r][j].Sub(a[r][j], tmp)
-				a[r][j].Quo(a[r][j], prev)
+				x := &a[r][j]
+				tmp.Mul(f, &a[rank][j])
+				x.Mul(p, x)
+				x.Sub(x, tmp)
+				x.Quo(x, prev)
 			}
 		}
-		prev = new(big.Int).Set(p)
+		prev.Set(p)
 		rank++
 	}
 	return rank

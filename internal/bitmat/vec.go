@@ -21,6 +21,25 @@ func NewVec(n int) Vec {
 	return Vec{n: n, w: make([]uint64, wordsFor(n))}
 }
 
+// NewVecPairs returns k all-zero vectors of length n1 and k of length n2,
+// all on one backing array, so a family of rectangles gets its row and
+// column vectors in two allocations whatever k is. Vector i of a and
+// vector i of b sit next to each other; no two vectors overlap.
+func NewVecPairs(k, n1, n2 int) (a, b []Vec) {
+	if n1 < 0 || n2 < 0 {
+		panic(fmt.Sprintf("bitmat: negative vector length %d or %d", n1, n2))
+	}
+	w1, w2 := wordsFor(n1), wordsFor(n2)
+	words := make([]uint64, k*(w1+w2))
+	vs := make([]Vec, 2*k)
+	for i := 0; i < k; i++ {
+		lo, mid, hi := i*(w1+w2), i*(w1+w2)+w1, (i+1)*(w1+w2)
+		vs[i] = Vec{n: n1, w: words[lo:mid:mid]}
+		vs[k+i] = Vec{n: n2, w: words[mid:hi:hi]}
+	}
+	return vs[:k:k], vs[k:]
+}
+
 // VecFromBits builds a vector from 0/1 ints.
 func VecFromBits(bits []int) Vec {
 	v := NewVec(len(bits))

@@ -37,9 +37,19 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
+// newBitsets returns k zero bitsets of the given number of words, all on
+// one backing array.
+func newBitsets(k, words int) []bitset {
+	backing := make([]uint64, k*words)
+	out := make([]bitset, k)
+	for i := range out {
+		out[i] = backing[i*words : (i+1)*words : (i+1)*words]
+	}
+	return out
+}
+
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) get(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-func (b bitset) clone() bitset  { c := make(bitset, len(b)); copy(c, b); return c }
 func (b bitset) and(o bitset) {
 	for k := range b {
 		b[k] &= o[k]
@@ -49,6 +59,13 @@ func (b bitset) clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) or(o bitset) {
 	for k := range b {
 		b[k] |= o[k]
+	}
+}
+
+// intersect sets b to x ∩ y.
+func (b bitset) intersect(x, y bitset) {
+	for k := range b {
+		b[k] = x[k] & y[k]
 	}
 }
 func (b bitset) empty() bool {
@@ -90,45 +107,33 @@ func (b bitset) first() int {
 // INcompatible with a=(i,j) iff M[i][j2]=1 and M[i2][j]=1 — i.e. b's column
 // is a 1-column of a's row AND b's row is a 1-row of a's column. Both sides
 // are unions of precomputed per-row/per-column entry masks, so the bad set
-// is two word-parallel ANDs and the adjacency is its complement.
+// is two word-parallel ANDs and the adjacency is its complement. Masks,
+// unions and adjacency rows share one backing array.
 func buildGraph(m *bitmat.Matrix) *graph {
 	pos := m.OnesPositions()
 	n := len(pos)
-	g := &graph{pos: pos, adj: make([]bitset, n)}
+	g := &graph{pos: pos}
 	if n == 0 {
 		return g
 	}
-	rowMask := make([]bitset, m.Rows()) // entries in row r
-	colMask := make([]bitset, m.Cols()) // entries in column c
+	rows, cols, words := m.Rows(), m.Cols(), (n+63)/64
+	sets := newBitsets(2*rows+2*cols+n, words)
+	rowMask := sets[:rows]                        // entries in row i
+	colMask := sets[rows : rows+cols]             // entries in column j
+	rowUnion := sets[rows+cols : 2*rows+cols]     // entries whose column holds a 1 in row i
+	colUnion := sets[2*rows+cols : 2*rows+2*cols] // entries whose row holds a 1 in column j
+	g.adj = sets[2*rows+2*cols:]
 	for e, p := range pos {
-		i, j := p[0], p[1]
-		if rowMask[i] == nil {
-			rowMask[i] = newBitset(n)
-		}
-		if colMask[j] == nil {
-			colMask[j] = newBitset(n)
-		}
-		rowMask[i].set(e)
-		colMask[j].set(e)
+		rowMask[p[0]].set(e)
+		colMask[p[1]].set(e)
 	}
-	// rowUnion[i]: entries whose column holds a 1 in row i.
-	// colUnion[j]: entries whose row holds a 1 in column j.
-	rowUnion := make([]bitset, m.Rows())
-	colUnion := make([]bitset, m.Cols())
-	m.ForEachOne(func(i, j int) {
-		if rowUnion[i] == nil {
-			rowUnion[i] = newBitset(n)
-		}
-		rowUnion[i].or(colMask[j])
-		if colUnion[j] == nil {
-			colUnion[j] = newBitset(n)
-		}
-		colUnion[j].or(rowMask[i])
-	})
-	words := len(newBitset(n))
+	for _, p := range pos {
+		rowUnion[p[0]].or(colMask[p[1]])
+		colUnion[p[1]].or(rowMask[p[0]])
+	}
 	tail := uint(n % 64)
 	for e, p := range pos {
-		adj := make(bitset, words)
+		adj := g.adj[e]
 		ru, cu := rowUnion[p[0]], colUnion[p[1]]
 		for k := 0; k < words; k++ {
 			adj[k] = ^(ru[k] & cu[k])
@@ -137,7 +142,6 @@ func buildGraph(m *bitmat.Matrix) *graph {
 			adj[words-1] &= (1 << tail) - 1
 		}
 		adj.clear(e) // never self-adjacent (the bad set contains e anyway)
-		g.adj[e] = adj
 	}
 	return g
 }
@@ -206,73 +210,95 @@ func ExactUpTo(m *bitmat.Matrix, budget int64, ub int) (set [][2]int, ok bool) {
 	}
 	// Seed the incumbent with the greedy solution.
 	best := greedy(g)
-	bestSize := len(best)
-	if ub > 0 && bestSize >= ub {
+	if ub > 0 && len(best) >= ub {
 		return best, true
 	}
 
-	cand := newBitset(n)
+	// A fooling set holds at most one entry per row and per column, so no
+	// path is deeper than min(rows, cols): the node at depth d keeps its
+	// candidates in level d, and a node at the deepest level has none.
+	depth := min(m.Rows(), m.Cols())
+	s := search{
+		g:        g,
+		level:    newBitsets(depth+1, len(g.adj[0])),
+		cur:      make([]int, 0, depth),
+		bestSize: len(best),
+		budget:   budget,
+		ub:       ub,
+	}
 	for i := 0; i < n; i++ {
-		cand.set(i)
+		s.level[0].set(i)
 	}
-	var cur []int
-	nodes := int64(0)
-	exceeded, capped := false, false
+	s.rec()
 
-	var bestIdx []int
-	var rec func(cand bitset)
-	rec = func(cand bitset) {
-		if exceeded || capped {
-			return
-		}
-		nodes++
-		if budget > 0 && nodes > budget {
-			exceeded = true
-			return
-		}
-		c := cand.count()
-		if len(cur)+c <= bestSize {
-			return // bound: cannot beat incumbent
-		}
-		if c == 0 {
-			if len(cur) > bestSize {
-				bestSize = len(cur)
-				bestIdx = append(bestIdx[:0], cur...)
-				capped = ub > 0 && bestSize >= ub
-			}
-			return
-		}
-		// Branch on candidates in order; standard clique enumeration with
-		// the remaining-count bound.
-		rest := cand.clone()
-		for {
-			v := rest.first()
-			if v < 0 {
-				return
-			}
-			if len(cur)+rest.count() <= bestSize {
-				return
-			}
-			rest.clear(v)
-			next := rest.clone()
-			next.and(g.adj[v])
-			cur = append(cur, v)
-			rec(next)
-			cur = cur[:len(cur)-1]
-			if exceeded || capped {
-				return
-			}
-		}
-	}
-	rec(cand)
-
-	if bestIdx != nil {
-		best = make([][2]int, len(bestIdx))
-		for i, v := range bestIdx {
+	if s.bestIdx != nil {
+		best = make([][2]int, len(s.bestIdx))
+		for i, v := range s.bestIdx {
 			best[i] = g.pos[v]
 		}
 	}
-	return best, !exceeded
+	return best, !s.exceeded
+}
+
+// search is the branch-and-bound state of one ExactUpTo call.
+type search struct {
+	g        *graph
+	level    []bitset // level[d]: candidates of the node at depth d
+	cur      []int    // the entries chosen on the path to the current node
+	bestIdx  []int
+	bestSize int
+	nodes    int64
+	budget   int64
+	ub       int
+
+	exceeded, capped bool
+}
+
+// rec visits the node at depth len(s.cur), whose candidates are in its
+// level. It branches on the candidates in ascending order with the
+// standard remaining-count bound, clearing each from its own level as it
+// goes and writing the child's candidates into the next level.
+func (s *search) rec() {
+	if s.exceeded || s.capped {
+		return
+	}
+	s.nodes++
+	if s.budget > 0 && s.nodes > s.budget {
+		s.exceeded = true
+		return
+	}
+	d := len(s.cur)
+	cand := s.level[d]
+	c := cand.count()
+	if d+c <= s.bestSize {
+		return // bound: cannot beat incumbent
+	}
+	if c == 0 {
+		if d > s.bestSize {
+			s.bestSize = d
+			s.bestIdx = append(s.bestIdx[:0], s.cur...)
+			s.capped = s.ub > 0 && s.bestSize >= s.ub
+		}
+		return
+	}
+	next := s.level[d+1]
+	for {
+		v := cand.first()
+		if v < 0 {
+			return
+		}
+		if d+cand.count() <= s.bestSize {
+			return
+		}
+		cand.clear(v)
+		next.intersect(cand, s.g.adj[v])
+		s.cur = append(s.cur, v)
+		s.rec()
+		s.cur = s.cur[:d]
+		if s.exceeded || s.capped {
+			return
+		}
+	}
 }
 
 // IsFoolingSet verifies that the given entries form a fooling set of m:

@@ -2,10 +2,12 @@ package fooling
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitmat"
+	"repro/internal/rowpack"
 )
 
 func TestIdentityFoolingSet(t *testing.T) {
@@ -174,5 +176,143 @@ func TestQuickGraphMatchesCompatible(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleExactUpTo is the clone-per-node search that the per-depth one
+// replaced, kept as a test-only reference on the same graph: every node
+// clones its candidate set and every child gets a fresh one, so no two
+// nodes share a bitset.
+func oracleExactUpTo(m *bitmat.Matrix, budget int64, ub int) (set [][2]int, ok bool) {
+	g := buildGraph(m)
+	n := len(g.pos)
+	if n == 0 {
+		return nil, true
+	}
+	best := greedy(g)
+	bestSize := len(best)
+	if ub > 0 && bestSize >= ub {
+		return best, true
+	}
+
+	clone := func(b bitset) bitset { return append(bitset(nil), b...) }
+	cand := make(bitset, (n+63)/64)
+	for i := 0; i < n; i++ {
+		cand.set(i)
+	}
+	var cur []int
+	nodes := int64(0)
+	exceeded, capped := false, false
+
+	var bestIdx []int
+	var rec func(cand bitset)
+	rec = func(cand bitset) {
+		if exceeded || capped {
+			return
+		}
+		nodes++
+		if budget > 0 && nodes > budget {
+			exceeded = true
+			return
+		}
+		c := cand.count()
+		if len(cur)+c <= bestSize {
+			return
+		}
+		if c == 0 {
+			if len(cur) > bestSize {
+				bestSize = len(cur)
+				bestIdx = append(bestIdx[:0], cur...)
+				capped = ub > 0 && bestSize >= ub
+			}
+			return
+		}
+		rest := clone(cand)
+		for {
+			v := rest.first()
+			if v < 0 {
+				return
+			}
+			if len(cur)+rest.count() <= bestSize {
+				return
+			}
+			rest.clear(v)
+			next := clone(rest)
+			next.and(g.adj[v])
+			cur = append(cur, v)
+			rec(next)
+			cur = cur[:len(cur)-1]
+			if exceeded || capped {
+				return
+			}
+		}
+	}
+	rec(cand)
+
+	if bestIdx != nil {
+		best = make([][2]int, len(bestIdx))
+		for i, v := range bestIdx {
+			best[i] = g.pos[v]
+		}
+	}
+	return best, !exceeded
+}
+
+// TestExactMatchesOracle: the per-depth search returns the oracle's set and
+// ok flag on 2 000 seeded random matrices up to 12×12, Fig. 1b and the edge
+// shapes, at budgets that stop it at the root, early, midway and never,
+// uncapped and capped at the depth the cold path packs to.
+func TestExactMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	var ms []*bitmat.Matrix
+	for len(ms) < 2000 {
+		ms = append(ms, bitmat.Random(rng, 1+rng.Intn(12), 1+rng.Intn(12), rng.Float64()))
+	}
+	for _, s := range []string{
+		"101100\n010011\n101010\n010101\n111000\n000111", // Fig. 1b
+		"000000\n010011\n000000\n010101\n000000",         // zero rows and columns
+		"1011\n1011\n0110\n1011\n0110\n1101",             // duplicate rows
+		"0", "1", "1011011101", "0000000000",
+		"1\n0\n1\n1\n0\n1\n1\n1", "0\n0\n0",
+	} {
+		ms = append(ms, bitmat.MustParse(s))
+	}
+	for idx, m := range ms {
+		packed := rowpack.PackDownTo(m, rowpack.DefaultOptions(), m.Rank()).Depth()
+		for _, budget := range []int64{1, 3, 50, 200_000} {
+			for _, ub := range []int{0, packed} {
+				got, gotOK := ExactUpTo(m, budget, ub)
+				want, wantOK := oracleExactUpTo(m, budget, ub)
+				if !slices.Equal(got, want) || gotOK != wantOK {
+					t.Fatalf("matrix %d, budget %d, cap %d: ExactUpTo = %v (ok %v), oracle %v (ok %v)\n%s",
+						idx, budget, ub, got, gotOK, want, wantOK, m)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go; the race detector's instrumentation
+// is not what the allocation pins measure, so they skip under it.
+var raceEnabled bool
+
+// TestExactAllocs pins the search's allocations on the random 10×10 block
+// of core's TestSolveAllocs (before compression), where greedy already
+// finds the maximum set (9): the graph, the greedy seed and the level stack
+// are allocated once per call and a search node allocates nothing, so the
+// count does not grow with the budget (the clone-per-node search made
+// 110, 1 559 and 4 107).
+func TestExactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run without the race detector")
+	}
+	m := bitmat.Random(rand.New(rand.NewSource(1)), 10, 10, 0.3)
+	for _, tc := range []struct {
+		budget int64
+		allocs float64
+	}{{10, 13}, {1_000, 13}, {200_000, 13}} {
+		if got := testing.AllocsPerRun(20, func() { Exact(m, tc.budget) }); got != tc.allocs {
+			t.Errorf("Exact(budget %d): %v allocs per run, want %v", tc.budget, got, tc.allocs)
+		}
 	}
 }

@@ -57,44 +57,47 @@ func DefaultOptions() Options {
 // Trivial returns the paper's trivial EBMF: partition into single rows or
 // single columns (whichever orientation has fewer distinct nonzero lines),
 // consolidating duplicates. The depth equals Matrix.TrivialUpperBound.
+// Rectangles follow the first appearance of their line; the duplicate
+// groups come from bitmat.Compress, which numbers them in that order.
 func Trivial(m *bitmat.Matrix) *rect.Partition {
-	rowP := trivialRows(m)
-	colP := trivialCols(m)
-	if colP.Depth() < rowP.Depth() {
-		return colP
-	}
-	return rowP
-}
-
-func trivialRows(m *bitmat.Matrix) *rect.Partition {
+	c := bitmat.Compress(m)
 	p := rect.NewPartition(m)
-	groups := map[string]int{} // row pattern -> rect index
-	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		if row.IsZero() {
-			continue
+	if len(c.ColGroups) < len(c.RowGroups) {
+		p.Rects = newRects(len(c.ColGroups), m.Rows(), m.Cols())
+		for k, group := range c.ColGroups {
+			r := p.Rects[k]
+			for i := 0; i < m.Rows(); i++ {
+				r.Rows.Set(i, m.Get(i, group[0]))
+			}
+			for _, j := range group {
+				r.Cols.Set(j, true)
+			}
 		}
-		k := row.Key()
-		if idx, ok := groups[k]; ok {
-			p.Rects[idx].Rows.Set(i, true)
-			continue
+		return p
+	}
+	p.Rects = newRects(len(c.RowGroups), m.Rows(), m.Cols())
+	for k, group := range c.RowGroups {
+		r := p.Rects[k]
+		for _, i := range group {
+			r.Rows.Set(i, true)
 		}
-		r := rect.NewRect(m.Rows(), m.Cols())
-		r.Rows.Set(i, true)
-		r.Cols.Or(row)
-		groups[k] = len(p.Rects)
-		p.Add(r)
+		r.Cols.Or(m.Row(group[0]))
 	}
 	return p
 }
 
-func trivialCols(m *bitmat.Matrix) *rect.Partition {
-	tp := trivialRows(m.Transpose())
-	p := rect.NewPartition(m)
-	for _, r := range tp.Rects {
-		p.Add(rect.Rect{Rows: r.Cols, Cols: r.Rows})
+// newRects returns k empty rectangles of a rows×cols matrix, their vectors
+// on one backing array; nil when k is 0.
+func newRects(k, rows, cols int) []rect.Rect {
+	if k == 0 {
+		return nil
 	}
-	return p
+	rs, cs := bitmat.NewVecPairs(k, rows, cols)
+	out := make([]rect.Rect, k)
+	for i := range out {
+		out[i] = rect.Rect{Rows: rs[i], Cols: cs[i]}
+	}
+	return out
 }
 
 // Pack runs the row-packing heuristic and returns the best partition found
@@ -111,6 +114,13 @@ func Pack(m *bitmat.Matrix, opts Options) *rect.Partition {
 // Trivial and keeps a trial only on a strictly smaller depth, no valid
 // partition goes below lb, and the shuffling RNG is local to the call. With
 // lb ≤ 0 every trial runs (a zero matrix has nothing to pack).
+//
+// Each orientation packs its trials into one reusable buffer, and the row
+// order is drawn into one reused slice with rand.Perm's draws, so the trial
+// sequence is the one a fresh allocation per trial would give. A trial that
+// wins hands its buffer to best (a transposed one is transposed in place
+// first) and the next trial of that orientation gets a new buffer; a trial
+// that loses leaves its buffer to be overwritten.
 func PackDownTo(m *bitmat.Matrix, opts Options, lb int) *rect.Partition {
 	if opts.Trials < 1 {
 		opts.Trials = 1
@@ -120,26 +130,35 @@ func PackDownTo(m *bitmat.Matrix, opts Options, lb int) *rect.Partition {
 		return best
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
+	perm := make([]int, max(m.Rows(), m.Cols()))
 
-	run := func(target *bitmat.Matrix, transposed bool) {
-		perm := orderFor(rng, target, opts)
-		p := packOnce(target, perm, opts)
+	var mt *bitmat.Matrix
+	var bufs [2]*trial // per orientation: plain, transposed
+	run := func(transposed bool) {
+		target, o := m, 0
 		if transposed {
-			p = transposePartition(m, p)
+			target, o = mt, 1
 		}
-		if p.Depth() < best.Depth() {
-			best = p
+		if bufs[o] == nil {
+			bufs[o] = newTrial(m, target)
+		}
+		t := bufs[o]
+		t.pack(target, orderFor(rng, perm[:target.Rows()], target, opts), opts)
+		if t.p.Depth() < best.Depth() {
+			if transposed {
+				t.transpose()
+			}
+			best, bufs[o] = &t.p, nil
 		}
 	}
 
-	var mt *bitmat.Matrix
 	for trial := 0; trial < opts.Trials && best.Depth() > lb; trial++ {
-		run(m, false)
+		run(false)
 		if !opts.SkipTranspose && best.Depth() > lb {
 			if mt == nil {
 				mt = m.Transpose()
 			}
-			run(mt, true)
+			run(true)
 		}
 		if opts.Order != OrderShuffle {
 			break // deterministic orders do not benefit from more trials
@@ -148,51 +167,76 @@ func PackDownTo(m *bitmat.Matrix, opts Options, lb int) *rect.Partition {
 	return best
 }
 
-// orderFor produces the row processing order for one trial.
-func orderFor(rng *rand.Rand, m *bitmat.Matrix, opts Options) []int {
-	n := m.Rows()
+// orderFor fills perm, one entry per row of m, with the row processing
+// order of one trial and returns it. The shuffle is rand.Perm's algorithm,
+// so it makes the same draws and gives the same order.
+func orderFor(rng *rand.Rand, perm []int, m *bitmat.Matrix, opts Options) []int {
 	switch opts.Order {
 	case OrderIdentity:
-		perm := make([]int, n)
 		for i := range perm {
 			perm[i] = i
 		}
-		return perm
 	case OrderSortedAsc:
-		perm := make([]int, n)
 		for i := range perm {
 			perm[i] = i
 		}
 		// Stable insertion sort by popcount keeps ties in original order.
-		for i := 1; i < n; i++ {
+		for i := 1; i < len(perm); i++ {
 			for j := i; j > 0 && m.RowOnes(perm[j]) < m.RowOnes(perm[j-1]); j-- {
 				perm[j], perm[j-1] = perm[j-1], perm[j]
 			}
 		}
-		return perm
 	default:
-		return rng.Perm(n)
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 	}
+	return perm
 }
 
-// packOnce is one trial of Algorithm 2 over m with rows processed in the
-// order given by perm (perm[t] is the original row index processed at step
-// t). Rectangles are expressed in original row indices directly.
-func packOnce(m *bitmat.Matrix, perm []int, opts Options) *rect.Partition {
-	p := rect.NewPartition(m)
-	var basis []bitmat.Vec // basis[k] is also p.Rects[k].Cols
+// trial is a packing trial's buffer over a target matrix (m or its
+// transpose): room for one rectangle per target row, which is the most a
+// trial can make, all on one backing array. p is the trial's partition of
+// m once a transposed trial is transposed.
+type trial struct {
+	p     rect.Partition
+	rects []rect.Rect
+}
 
+func newTrial(m, target *bitmat.Matrix) *trial {
+	return &trial{p: rect.Partition{M: m}, rects: newRects(target.Rows(), target.Rows(), target.Cols())}
+}
+
+// pack is one trial of Algorithm 2 over target with rows processed in the
+// order given by perm (perm[t] is the target row processed at step t),
+// overwriting the buffer's previous trial. Rectangles are expressed in the
+// target's row indices directly, and rectangle k's columns are basis
+// vector k.
+func (t *trial) pack(target *bitmat.Matrix, perm []int, opts Options) {
+	for _, r := range t.p.Rects {
+		r.Rows.AndNot(r.Rows) // clear the previous trial
+		r.Cols.AndNot(r.Cols)
+	}
+	rects := t.rects
+	n := 0
 	for _, i := range perm {
-		ri := m.Row(i).Clone()
-		if ri.IsZero() {
+		row := target.Row(i)
+		if row.IsZero() {
 			continue
 		}
+		// The residue is worked out in the next free rectangle's columns,
+		// which stay all-zero when nothing is left of the row.
+		ri := rects[n].Cols
+		ri.Or(row)
 		// Lines 4–7: greedy in-order subtraction of contained basis vectors.
-		for j, vj := range basis {
+		for j := 0; j < n; j++ {
+			vj := rects[j].Cols
 			if vj.IsZero() || !vj.SubsetOf(ri) {
 				continue
 			}
-			p.Rects[j].Rows.Set(i, true) // vertical grow
+			rects[j].Rows.Set(i, true) // vertical grow
 			ri.AndNot(vj)
 			if ri.IsZero() {
 				break
@@ -202,33 +246,30 @@ func packOnce(m *bitmat.Matrix, perm []int, opts Options) *rect.Partition {
 			continue
 		}
 		// Lines 8–16: residue becomes a new basis vector.
-		newRows := bitmat.NewVec(m.Rows())
+		newRows := rects[n].Rows
 		newRows.Set(i, true)
 		if !opts.DisableBasisUpdate {
-			for k := range basis {
-				vk := basis[k]
+			for k := 0; k < n; k++ {
+				vk := rects[k].Cols
 				if vk.IsZero() || !ri.SubsetOf(vk) {
 					continue
 				}
 				// Horizontal shrink: P_k loses the residue's columns; the
 				// new rectangle covers those entries for P_k's rows.
-				vk.AndNot(ri) // mutates p.Rects[k].Cols in place
-				newRows.Or(p.Rects[k].Rows)
+				vk.AndNot(ri)
+				newRows.Or(rects[k].Rows)
 			}
 		}
-		nr := rect.Rect{Rows: newRows, Cols: ri}
-		basis = append(basis, ri)
-		p.Add(nr)
+		n++
 	}
-	return p
+	t.p.Rects = t.rects[:n:n]
 }
 
-// transposePartition converts a partition of mᵀ into a partition of m by
-// swapping each rectangle's row and column sets.
-func transposePartition(m *bitmat.Matrix, tp *rect.Partition) *rect.Partition {
-	p := rect.NewPartition(m)
-	for _, r := range tp.Rects {
-		p.Add(rect.Rect{Rows: r.Cols, Cols: r.Rows})
+// transpose swaps each rectangle's row and column sets in place, turning a
+// trial over mᵀ into a partition of m.
+func (t *trial) transpose() {
+	for k := range t.p.Rects {
+		r := &t.p.Rects[k]
+		r.Rows, r.Cols = r.Cols, r.Rows
 	}
-	return p
 }

@@ -2,6 +2,7 @@ package rowpack
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -267,4 +268,259 @@ func disjointNonempty(rng *rand.Rand, n, k int) [][]int {
 		parts[i] = append(parts[i], x)
 	}
 	return parts
+}
+
+// raceEnabled is set by race_test.go; the race detector's instrumentation
+// is not what the allocation pins measure, so they skip under it.
+var raceEnabled bool
+
+// TestPackAllocs pins Pack's allocations on Fig. 1b, where the fooling
+// bound (5) beats rank (4), so core's PackDownTo runs every trial: a trial
+// packs into its orientation's reused buffer, so the count does not grow
+// with the number of trials (the clone-per-trial packer made 102, 534 and
+// 4 854).
+func TestPackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run without the race detector")
+	}
+	// Trivial's Compress draws on bitmat's pooled scratch, which a
+	// collection mid-measurement would empty, so GC is off while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
+	for _, tc := range []struct {
+		trials int
+		allocs float64
+	}{{1, 23}, {10, 23}, {100, 23}} {
+		opts := Options{Trials: tc.trials, Seed: 1}
+		if got := testing.AllocsPerRun(20, func() { Pack(m, opts) }); got != tc.allocs {
+			t.Errorf("Pack(Trials %d): %v allocs per run, want %v", tc.trials, got, tc.allocs)
+		}
+	}
+}
+
+// The oracle is the clone-per-trial packer that the buffered one replaced,
+// kept as a test-only reference: every trial clones its rows and allocates
+// its own rectangles, every transposed trial is copied out, and Trivial
+// groups rows by string keys. No buffer is shared between trials, so a
+// later trial can never overwrite the winner's vectors here.
+
+func oracleTrivial(m *bitmat.Matrix) *rect.Partition {
+	rowP := oracleTrivialRows(m)
+	colP := oracleTrivialCols(m)
+	if colP.Depth() < rowP.Depth() {
+		return colP
+	}
+	return rowP
+}
+
+func oracleTrivialRows(m *bitmat.Matrix) *rect.Partition {
+	p := rect.NewPartition(m)
+	groups := map[string]int{} // row pattern -> rect index
+	for i := 0; i < m.Rows(); i++ {
+		row := m.Row(i)
+		if row.IsZero() {
+			continue
+		}
+		k := row.Key()
+		if idx, ok := groups[k]; ok {
+			p.Rects[idx].Rows.Set(i, true)
+			continue
+		}
+		r := rect.NewRect(m.Rows(), m.Cols())
+		r.Rows.Set(i, true)
+		r.Cols.Or(row)
+		groups[k] = len(p.Rects)
+		p.Add(r)
+	}
+	return p
+}
+
+func oracleTrivialCols(m *bitmat.Matrix) *rect.Partition {
+	tp := oracleTrivialRows(m.Transpose())
+	p := rect.NewPartition(m)
+	for _, r := range tp.Rects {
+		p.Add(rect.Rect{Rows: r.Cols, Cols: r.Rows})
+	}
+	return p
+}
+
+func oraclePackDownTo(m *bitmat.Matrix, opts Options, lb int) *rect.Partition {
+	if opts.Trials < 1 {
+		opts.Trials = 1
+	}
+	best := oracleTrivial(m)
+	if best.Depth() <= lb {
+		return best
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+
+	run := func(target *bitmat.Matrix, transposed bool) {
+		perm := oracleOrderFor(rng, target, opts)
+		p := oraclePackOnce(target, perm, opts)
+		if transposed {
+			p = oracleTransposePartition(m, p)
+		}
+		if p.Depth() < best.Depth() {
+			best = p
+		}
+	}
+
+	var mt *bitmat.Matrix
+	for trial := 0; trial < opts.Trials && best.Depth() > lb; trial++ {
+		run(m, false)
+		if !opts.SkipTranspose && best.Depth() > lb {
+			if mt == nil {
+				mt = m.Transpose()
+			}
+			run(mt, true)
+		}
+		if opts.Order != OrderShuffle {
+			break
+		}
+	}
+	return best
+}
+
+func oracleOrderFor(rng *rand.Rand, m *bitmat.Matrix, opts Options) []int {
+	n := m.Rows()
+	switch opts.Order {
+	case OrderIdentity:
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		return perm
+	case OrderSortedAsc:
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && m.RowOnes(perm[j]) < m.RowOnes(perm[j-1]); j-- {
+				perm[j], perm[j-1] = perm[j-1], perm[j]
+			}
+		}
+		return perm
+	default:
+		return rng.Perm(n)
+	}
+}
+
+func oraclePackOnce(m *bitmat.Matrix, perm []int, opts Options) *rect.Partition {
+	p := rect.NewPartition(m)
+	var basis []bitmat.Vec // basis[k] is also p.Rects[k].Cols
+
+	for _, i := range perm {
+		ri := m.Row(i).Clone()
+		if ri.IsZero() {
+			continue
+		}
+		for j, vj := range basis {
+			if vj.IsZero() || !vj.SubsetOf(ri) {
+				continue
+			}
+			p.Rects[j].Rows.Set(i, true)
+			ri.AndNot(vj)
+			if ri.IsZero() {
+				break
+			}
+		}
+		if ri.IsZero() {
+			continue
+		}
+		newRows := bitmat.NewVec(m.Rows())
+		newRows.Set(i, true)
+		if !opts.DisableBasisUpdate {
+			for k := range basis {
+				vk := basis[k]
+				if vk.IsZero() || !ri.SubsetOf(vk) {
+					continue
+				}
+				vk.AndNot(ri)
+				newRows.Or(p.Rects[k].Rows)
+			}
+		}
+		basis = append(basis, ri)
+		p.Add(rect.Rect{Rows: newRows, Cols: ri})
+	}
+	return p
+}
+
+func oracleTransposePartition(m *bitmat.Matrix, tp *rect.Partition) *rect.Partition {
+	p := rect.NewPartition(m)
+	for _, r := range tp.Rects {
+		p.Add(rect.Rect{Rows: r.Cols, Cols: r.Rows})
+	}
+	return p
+}
+
+// samePartition reports whether a and b partition the same matrix with
+// identical rectangles in identical order.
+func samePartition(a, b *rect.Partition) bool {
+	if a.M != b.M || len(a.Rects) != len(b.Rects) {
+		return false
+	}
+	for k := range a.Rects {
+		if !a.Rects[k].Rows.Equal(b.Rects[k].Rows) || !a.Rects[k].Cols.Equal(b.Rects[k].Cols) {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleMatrices returns the differential tests' inputs: seeded random
+// matrices up to 12×12 at every density, then Fig. 1b and the shapes that
+// take the kernels' edge paths — zero rows and columns, duplicate rows,
+// single rows and single columns.
+func oracleMatrices(n int) []*bitmat.Matrix {
+	rng := rand.New(rand.NewSource(20261019))
+	var out []*bitmat.Matrix
+	for len(out) < n {
+		out = append(out, bitmat.Random(rng, 1+rng.Intn(12), 1+rng.Intn(12), rng.Float64()))
+	}
+	for _, s := range []string{
+		"101100\n010011\n101010\n010101\n111000\n000111", // Fig. 1b
+		"000000\n010011\n000000\n010101\n000000",         // zero rows and columns
+		"1011\n1011\n0110\n1011\n0110\n1101",             // duplicate rows
+		"0", "1", "1011011101", "0000000000",
+		"1\n0\n1\n1\n0\n1\n1\n1", "0\n0\n0",
+	} {
+		out = append(out, bitmat.MustParse(s))
+	}
+	return out
+}
+
+// TestPackMatchesOracle: the buffered packer returns the oracle's
+// rectangles in the oracle's order at lb 0 and lb = rank, with one and 100
+// trials and both transpose settings, on every oracle matrix; the other
+// row orders and the basis-update ablation ride along on a subset.
+func TestPackMatchesOracle(t *testing.T) {
+	ms := oracleMatrices(2000)
+	for idx, m := range ms {
+		if got, want := Trivial(m), oracleTrivial(m); !samePartition(got, want) {
+			t.Fatalf("matrix %d: Trivial = %sOracle = %s%s", idx, got, want, m)
+		}
+		for _, lb := range []int{0, m.Rank()} {
+			for _, trials := range []int{1, 100} {
+				for _, skip := range []bool{false, true} {
+					opts := Options{Trials: trials, Seed: int64(idx), SkipTranspose: skip}
+					if got, want := PackDownTo(m, opts, lb), oraclePackDownTo(m, opts, lb); !samePartition(got, want) {
+						t.Fatalf("matrix %d, lb %d, %+v: PackDownTo = %sOracle = %s%s", idx, lb, opts, got, want, m)
+					}
+				}
+			}
+		}
+		if idx%10 != 0 {
+			continue
+		}
+		for _, opts := range []Options{
+			{Trials: 5, Seed: 3, Order: OrderIdentity},
+			{Trials: 5, Seed: 3, Order: OrderSortedAsc},
+			{Trials: 20, Seed: 3, DisableBasisUpdate: true},
+		} {
+			if got, want := Pack(m, opts), oraclePackDownTo(m, opts, 0); !samePartition(got, want) {
+				t.Fatalf("matrix %d, %+v: Pack = %sOracle = %s%s", idx, opts, got, want, m)
+			}
+		}
+	}
 }

@@ -39,16 +39,18 @@ import (
 // semaphore; they cost milliseconds, not solver minutes.
 
 // jobRegistry owns every live and recently-terminal job, bounded by
-// MaxJobs with terminal-first eviction. TTL expiry runs on every lookup and
-// on a periodic janitor sweep, so terminal jobs expire on schedule even on
-// an otherwise idle daemon.
+// MaxJobs with terminal-first eviction. Terminal jobs queue in finish order
+// and leave from the head, past their TTL or over capacity, so each job is
+// queued and popped once and live jobs are never looked at. Expiry runs on
+// every submit and lookup and on a periodic janitor sweep, so terminal jobs
+// expire on schedule even on an otherwise idle daemon.
 type jobRegistry struct {
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []*job // insertion order, for eviction scans
-	max   int
-	ttl   time.Duration
-	now   func() time.Time // injectable clock for TTL tests
+	mu      sync.Mutex
+	jobs    map[string]*job
+	retired []*job // terminal jobs in finish order, oldest first
+	max     int
+	ttl     time.Duration
+	now     func() time.Time // injectable clock for TTL tests
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -165,55 +167,58 @@ func (r *jobRegistry) insert(id string, t *tenant, cancelOnDisconnect bool, canc
 		done:               make(chan struct{}),
 	}
 	r.jobs[j.id] = j
-	r.order = append(r.order, j)
 	r.evictLocked()
 	return j
 }
 
-// evictLocked drops expired terminal jobs, then — if still over capacity —
-// the oldest terminal jobs. Live jobs are never evicted: their runner
-// goroutine and cancellation handle must stay reachable.
-func (r *jobRegistry) evictLocked() {
-	now := r.now()
-	kept := r.order[:0]
-	for _, j := range r.order {
-		j.mu.Lock()
-		expired := wire.JobTerminal(j.state) && r.ttl > 0 && now.Sub(j.finished) > r.ttl
-		j.mu.Unlock()
-		if expired {
-			delete(r.jobs, j.id)
-			continue
-		}
-		kept = append(kept, j)
-	}
-	r.order = kept
-	if len(r.order) <= r.max {
-		return
-	}
-	kept = r.order[:0]
-	over := len(r.order) - r.max
-	for _, j := range r.order {
-		j.mu.Lock()
-		terminal := wire.JobTerminal(j.state)
-		j.mu.Unlock()
-		if over > 0 && terminal {
-			delete(r.jobs, j.id)
-			over--
-			continue
-		}
-		kept = append(kept, j)
-	}
-	r.order = kept
+// retire queues a job that has just reached its terminal state for
+// eviction. Eviction itself waits for the next submit, lookup or sweep.
+func (r *jobRegistry) retire(j *job) {
+	r.mu.Lock()
+	r.retired = append(r.retired, j)
+	r.mu.Unlock()
 }
 
-// get resolves a job ID, expiring on the way: TTL eviction runs before the
-// lookup so a terminal job past its TTL 404s even when no submission has
-// run the eviction scan since it expired.
+// evictLocked pops terminal jobs in finish order while the oldest is past
+// its TTL or the registry is over capacity. Live jobs never enter the
+// queue: their runner goroutine and cancellation handle must stay
+// reachable.
+func (r *jobRegistry) evictLocked() {
+	now := r.now()
+	for len(r.retired) > 0 {
+		j := r.retired[0]
+		if len(r.jobs) <= r.max && !r.expired(j, now) {
+			return
+		}
+		r.retired[0] = nil
+		r.retired = r.retired[1:]
+		if r.jobs[j.id] == j { // get may have dropped it already
+			delete(r.jobs, j.id)
+		}
+	}
+}
+
+// expired reports whether j is terminal and past the TTL at now.
+func (r *jobRegistry) expired(j *job, now time.Time) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return wire.JobTerminal(j.state) && r.ttl > 0 && now.Sub(j.finished) > r.ttl
+}
+
+// get resolves a job ID, expiring on the way, so a terminal job past its
+// TTL 404s even when no submission has run eviction since it expired. The
+// job's own expiry is checked too: a job that finished just before the
+// queue's head can sit behind it.
 func (r *jobRegistry) get(id string) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evictLocked()
-	return r.jobs[id]
+	j := r.jobs[id]
+	if j != nil && r.expired(j, r.now()) {
+		delete(r.jobs, id)
+		return nil
+	}
+	return j
 }
 
 func (r *jobRegistry) len() int {
@@ -436,13 +441,15 @@ func (s *Server) newJob(t *tenant, req *wire.JobRequest, m *bitmat.Matrix) *job 
 	return j
 }
 
-// finishJob is the server-level terminal transition: the job's own finish
-// (first win only), then the durability tail — terminal record to the
-// journal, webhook delivery if the job asked for one.
+// finishJob is the server-level terminal transition, through which every
+// job's end passes: the job's own finish (first win only), its place in the
+// registry's eviction queue, then the durability tail — terminal record to
+// the journal, webhook delivery if the job asked for one.
 func (s *Server) finishJob(j *job, state string, res *wire.ResultJSON, errMsg string, degraded bool) {
 	if !j.finish(state, res, errMsg, degraded) {
 		return
 	}
+	s.jobs.retire(j)
 	snap := j.snapshot()
 	s.journalTerminal(j, snap)
 	if j.callback != "" && s.webhooks != nil {

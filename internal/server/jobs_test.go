@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -687,5 +689,132 @@ func TestJobCancelLeaderFollowerReelects(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatalf("follower hung after the leading job was canceled")
+	}
+}
+
+// TestJobRegistryEvictsTerminalFirst pins the registry's retention rules on
+// a MaxJobs 3 server with an injected clock: a live job is never evicted,
+// over capacity the terminal job that finished first goes first, a job past
+// JobTTL answers 404 and leaves the registry, and the janitor expires a job
+// with no request at all.
+func TestJobRegistryEvictsTerminalFirst(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxJobs: 3, JobTTL: 100 * time.Millisecond})
+	// Jobs record their finish time from the wall clock and the registry
+	// compares it with its own clock: an offset of -1h keeps every job
+	// fresh, +1h expires every terminal one.
+	var offset atomic.Int64
+	offset.Store(int64(-time.Hour))
+	s.jobs.mu.Lock()
+	s.jobs.now = func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
+	s.jobs.mu.Unlock()
+
+	tenant, err := s.sched.tenantForKey("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := bitmat.MustParse("1")
+	submit := func() *job {
+		j := s.newJob(tenant, &wire.JobRequest{}, m) // no runner: stays queued
+		t.Cleanup(j.cancel)
+		return j
+	}
+	finish := func(j *job) { s.finishJob(j, wire.JobDone, nil, "", false) }
+	expect := func(what string, j *job, code int) {
+		t.Helper()
+		if resp, body := getJob(t, ts.URL, "", j.id); resp.StatusCode != code {
+			t.Fatalf("%s: GET %d (%s), want %d", what, resp.StatusCode, body, code)
+		}
+	}
+
+	// Jobs finishing in submission order: the live job survives every
+	// later terminal job, and capacity evicts the oldest terminal job.
+	live := submit()
+	var done []*job
+	for k := 0; k < 6; k++ {
+		j := submit()
+		finish(j)
+		done = append(done, j)
+		expect("live job", live, http.StatusOK)
+		for i, d := range done {
+			want := http.StatusOK
+			if i < len(done)-2 {
+				want = http.StatusNotFound
+			}
+			expect(fmt.Sprintf("terminal job %d after %d", i, len(done)), d, want)
+		}
+		if n, want := s.jobs.len(), min(len(done)+1, 3); n != want {
+			t.Fatalf("after %d terminal jobs: len %d, want %d", len(done), n, want)
+		}
+	}
+
+	// Jobs finishing in reverse submission order: capacity eviction
+	// follows finish order, so the job that finished first goes.
+	a, b := submit(), submit()
+	finish(b)
+	finish(a)
+	c := submit()
+	expect("first-finished job", b, http.StatusNotFound)
+	expect("later-finished job", a, http.StatusOK)
+	expect("live job after reverse finish", live, http.StatusOK)
+	expect("new job", c, http.StatusOK)
+
+	// Past the TTL a terminal job answers 404 and leaves the registry;
+	// live jobs stay. The janitor is stopped so the GET does the expiry.
+	s.jobs.stopJanitor()
+	offset.Store(int64(time.Hour))
+	expect("expired job", a, http.StatusNotFound)
+	if n := s.jobs.len(); n != 2 {
+		t.Fatalf("after expiry: len %d, want 2 (the live jobs)", n)
+	}
+
+	// The janitor alone expires a job that finishes now.
+	s.jobs.startJanitor()
+	finish(c)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.jobs.len() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("janitor left %d jobs, want 1 (the live job)", s.jobs.len())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	expect("live job at the end", live, http.StatusOK)
+}
+
+// TestJobRegistryEvictsConcurrently drives the eviction queue from several
+// goroutines at once, as runners, pollers and the janitor do: every job
+// finishes and is looked up while others submit, a lookup never yields
+// another job, and the registry ends within MaxJobs with no live job.
+func TestJobRegistryEvictsConcurrently(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxJobs: 8, JobTTL: 4 * time.Millisecond})
+	tenant, err := s.sched.tenantForKey("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := bitmat.MustParse("1")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				j := s.newJob(tenant, &wire.JobRequest{}, m)
+				s.finishJob(j, wire.JobDone, nil, "", false)
+				if got := s.jobs.get(j.id); got != nil && got != j {
+					t.Errorf("job %s resolved to another job", j.id)
+				}
+				j.cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := s.jobs.len(); n > 8 {
+		t.Fatalf("registry holds %d jobs, MaxJobs is 8", n)
+	}
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	for id, j := range s.jobs.jobs {
+		if !wire.JobTerminal(j.snapshot().State) {
+			t.Errorf("job %s still live after every runner finished", id)
+		}
 	}
 }

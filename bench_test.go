@@ -370,18 +370,6 @@ func BenchmarkSAPTableIGap(b *testing.B) {
 	}
 }
 
-// BenchmarkSAPTableIGapPortfolio is the racing twin of SAPTableIGap: the
-// same suite and budgets with a 3-strategy clause-sharing portfolio per
-// block. The gap between the two is what racing buys (or costs) end to end.
-func BenchmarkSAPTableIGapPortfolio(b *testing.B) {
-	ms := eval.GapSuiteMatrices()
-	opts := eval.TableIGapPortfolioOptions(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eval.RunGapSuiteSAP(ms, opts)
-	}
-}
-
 // BenchmarkSAPTableIRandom is the same over the small random suites.
 func BenchmarkSAPTableIRandom(b *testing.B) {
 	suite := benchgen.RandomSuite(11, 10, 10, benchgen.PaperOccupanciesSmall(), 1)

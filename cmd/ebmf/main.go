@@ -18,12 +18,9 @@
 //	-timeout D         SAT wall-clock budget, e.g. 30s (default unlimited)
 //	-fooling N         fooling-set node budget, 0 = skip (default 200000)
 //	-heuristic         skip the exact stage
-//	-portfolio K       race K diverse solver strategies per block (0 = off)
-//	-share-clauses     exchange short learnt clauses between racers
-//	-strategies S      comma-separated strategy names (canonical, luby,
+//	-strategies S      run one named solver strategy (canonical, luby,
 //	                   destructive, no-phase, seq-amo, native-amo,
-//	                   pairwise-amo, luby-destructive); names are validated
-//	                   up front; implies -portfolio
+//	                   pairwise-amo, luby-destructive); validated up front
 //	-factors           print the H and W factors
 //	-schedule          print the AOD schedule and per-shot frames
 //	-schedule-json F   write the AOD schedule as JSON to F ('-' for stdout)
@@ -42,6 +39,11 @@
 //	                   snapshot (must be on the server's -webhook-allow list)
 //	-q                 print only the depth
 //
+// -fooling, -no-inprocess, -factors, -schedule, -schedule-json, -trace and
+// -trace-json act on a local solve only, and -api-key, -degrade and
+// -callback on a remote one; setting one in the other mode is a flag
+// error.
+//
 // Exit codes: 0 when the partition is proved depth-optimal, 2 when the
 // solver returned a valid but unproven partition (budget exhausted or
 // heuristic-only), 1 on error — so scripts can distinguish "optimal",
@@ -55,15 +57,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	ebmf "repro"
 	"repro/internal/bitmat"
+	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 	"repro/internal/wire"
 )
 
@@ -86,9 +88,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "SAT wall-clock budget (0 = unlimited)")
 	fooling := flag.Int64("fooling", 200_000, "fooling-set node budget (0 = skip the fooling bound)")
 	heuristic := flag.Bool("heuristic", false, "skip the exact stage")
-	portfolioK := flag.Int("portfolio", 0, "race K diverse solver strategies per block (0 = off)")
-	shareClauses := flag.Bool("share-clauses", false, "exchange short learnt clauses between racers")
-	strategies := flag.String("strategies", "", "comma-separated racing strategy names (implies -portfolio)")
+	strategy := flag.String("strategies", "", "run this one named solver strategy (empty = the configuration the other flags describe)")
 	factors := flag.Bool("factors", false, "print EBMF factors H and W")
 	schedule := flag.Bool("schedule", false, "print the AOD schedule")
 	schedJSON := flag.String("schedule-json", "", "write the AOD schedule as JSON to this file ('-' for stdout)")
@@ -108,6 +108,19 @@ func run() int {
 			return exitOptimal
 		}
 		return exitError
+	}
+	if err := checkModeFlags(*serverURL != ""); err != nil {
+		return fail(err)
+	}
+	// Validate up front: a typo should be a flag error naming the valid
+	// set, not a failure halfway through the solve.
+	if strings.Contains(*strategy, ",") {
+		return fail(fmt.Errorf("-strategies takes one name, got %q (strategy racing was removed)", *strategy))
+	}
+	if *strategy != "" {
+		if _, err := core.ByName(*strategy); err != nil {
+			return fail(err)
+		}
 	}
 
 	var src io.Reader = os.Stdin
@@ -138,11 +151,9 @@ func run() int {
 			ConflictBudget: *budget,
 			TimeoutMS:      timeout.Milliseconds(),
 			Heuristic:      *heuristic,
-			Portfolio:      *portfolioK,
-			ShareClauses:   *shareClauses,
 		}
-		if *strategies != "" {
-			wopts.PortfolioStrategies = strings.Split(*strategies, ",")
+		if *strategy != "" {
+			wopts.PortfolioStrategies = []string{*strategy}
 		}
 		return runRemote(*serverURL, *apiKey, *degrade, *callback, m, wopts, *jsonOut, *quiet)
 	}
@@ -159,17 +170,7 @@ func run() int {
 	}
 	opts.AMO = amo
 	opts.DisableInprocessing = *noInprocess
-	opts.Portfolio.Size = *portfolioK
-	opts.Portfolio.ShareClauses = *shareClauses
-	if *strategies != "" {
-		names := strings.Split(*strategies, ",")
-		// Validate up front: a typo should be a flag error naming the valid
-		// set, not a failure halfway through the solve.
-		if _, err := portfolio.Resolve(portfolio.Canonical(), names); err != nil {
-			return fail(err)
-		}
-		opts.Portfolio.Strategies = names
-	}
+	opts.Strategy = *strategy
 
 	// Tracing uses the context-carrying solve entry point; without the flags
 	// the plain path runs untouched (no tracer, no context plumbing).
@@ -235,19 +236,6 @@ func printHuman(m *ebmf.Matrix, res *ebmf.Result, factors bool) {
 	fmt.Printf("effort: pack=%v sat=%v (%d calls, %d conflicts)\n",
 		res.PackTime.Round(time.Microsecond), res.SATTime.Round(time.Microsecond),
 		res.SATCalls, res.Conflicts)
-	if p := res.Portfolio; p != nil {
-		names := make([]string, 0, len(p.Wins))
-		for name := range p.Wins {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var wins []string
-		for _, name := range names {
-			wins = append(wins, fmt.Sprintf("%s:%d", name, p.Wins[name]))
-		}
-		fmt.Printf("race:   wins={%s} cancelled=%d conflicts, shared %d→%d clauses\n",
-			strings.Join(wins, " "), p.LoserConflicts, p.SharedExported, p.SharedImported)
-	}
 	fmt.Print(res.Partition)
 
 	if factors {
@@ -311,6 +299,31 @@ func emitTrace(td *obs.TraceData, human bool, jsonPath string) error {
 		return enc.Encode(td.JSON())
 	}
 	return nil
+}
+
+// localOnly and remoteOnly name the flags one mode honours and the other
+// cannot: a remote job carries no fooling budget, inprocessing switch,
+// trace or local rendering, and a local solve has no server to send a key,
+// degrade request or callback to.
+var (
+	localOnly  = []string{"fooling", "no-inprocess", "factors", "schedule", "schedule-json", "trace", "trace-json"}
+	remoteOnly = []string{"api-key", "degrade", "callback"}
+)
+
+// checkModeFlags rejects an explicitly set flag that the chosen mode would
+// ignore, naming it.
+func checkModeFlags(remote bool) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case remote && slices.Contains(localOnly, f.Name):
+			err = fmt.Errorf("-%s has no effect with -server", f.Name)
+		case !remote && slices.Contains(remoteOnly, f.Name):
+			err = fmt.Errorf("-%s requires -server", f.Name)
+		}
+	})
+	return err
 }
 
 func lowerBound(res *ebmf.Result) int {

@@ -16,7 +16,6 @@
 //	-max-timeout D      clamp for per-request timeouts (default 2m)
 //	-budget N           default/maximum SAT conflict budget (default 2000000)
 //	-max-entries N      reject matrices with more than N cells (default 1048576)
-//	-max-portfolio K    clamp per-request portfolio sizes (default 8, 0/-1 = off)
 //	-tenants SPEC       tenant map: name:key:weight[:quota[:priority]],... (default: none)
 //	-max-jobs N         async jobs retained in the registry (default 1024)
 //	-job-ttl D          how long a finished job stays pollable (default 10m)
@@ -113,7 +112,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "clamp for per-request timeouts")
 	budget := flag.Int64("budget", server.DefaultConflictBudget, "default and maximum SAT conflict budget (0 = unlimited, trusted clients only)")
 	maxEntries := flag.Int("max-entries", 1<<20, "reject matrices with more cells than this")
-	maxPortfolio := flag.Int("max-portfolio", 8, "clamp per-request portfolio sizes (0 or -1 disables racing)")
 	tenantSpec := flag.String("tenants", "", "tenant map: name:key:weight[:quota[:priority]],... (empty = default tenant only)")
 	maxJobs := flag.Int("max-jobs", 1024, "async jobs retained in the registry")
 	jobTTL := flag.Duration("job-ttl", 10*time.Minute, "how long a finished job stays pollable")
@@ -134,9 +132,6 @@ func main() {
 	}
 	if *queue == 0 {
 		*queue = -1 // Config convention: negative = no waiting
-	}
-	if *maxPortfolio == 0 {
-		*maxPortfolio = -1 // Config convention: 0 = default, negative = off
 	}
 	// -budget is both the default for requests that ask for nothing and the
 	// clamp for requests that ask for more (0 = unlimited, trusted clients
@@ -200,7 +195,6 @@ func main() {
 		MaxTimeout:        *maxTimeout,
 		MaxConflictBudget: *budget,
 		MaxMatrixEntries:  *maxEntries,
-		MaxPortfolio:      *maxPortfolio,
 		Tenants:           tenants,
 		MaxJobs:           *maxJobs,
 		JobTTL:            *jobTTL,
@@ -250,8 +244,8 @@ func main() {
 	if journal != nil {
 		recovered = journal.Stats().Loaded
 	}
-	logger.Printf("listening on %s (concurrency=%d queue=%d cache=%d max-portfolio=%d store-records=%d journal-jobs=%d)",
-		ln.Addr(), *concurrency, *queue, *cache, *maxPortfolio, records, recovered)
+	logger.Printf("listening on %s (concurrency=%d queue=%d cache=%d store-records=%d journal-jobs=%d)",
+		ln.Addr(), *concurrency, *queue, *cache, records, recovered)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

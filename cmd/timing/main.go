@@ -8,15 +8,11 @@
 //
 //	timing [-top N] [-seed S] [-gap N] [-rand N] [-budget N] [-json]
 //	timing [-cpuprofile F] [-memprofile F] ...   # pprof profiles of the run
-//	timing -portfolio [-portfolio-k K]
 //
 // With -json the command additionally runs the perf-tracked solver and SAP
 // workloads (the same ones as `go test -bench 'Solver|SAP'`) and writes a
 // BENCH_solver.json snapshot, so the solver's speed trajectory is recorded
-// across PRs. With -portfolio it instead prints a per-instance wall-clock
-// comparison of the single-strategy solver vs a K-strategy clause-sharing
-// portfolio over the Table I gap suites, with the geomean ratio and the
-// per-strategy win table.
+// across PRs.
 package main
 
 import (
@@ -25,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -88,7 +83,6 @@ func writeBenchJSON(path string) error {
 	}
 	gapMs := eval.GapSuiteMatrices()
 	sapOpts := eval.TableIGapSAPOptions()
-	portfolioOpts := eval.TableIGapPortfolioOptions(3)
 	snap := benchSnapshot{
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
@@ -106,9 +100,6 @@ func writeBenchJSON(path string) error {
 			}),
 			measure("SAPTableIGap", 3, func() {
 				eval.RunGapSuiteSAP(gapMs, sapOpts)
-			}),
-			measure("SAPTableIGapPortfolio", 3, func() {
-				eval.RunGapSuiteSAP(gapMs, portfolioOpts)
 			}),
 			measure("CertifiedFig1bProof", 10, func() {
 				if err := core.CertifyDepth(fig1b, 5); err != nil {
@@ -228,77 +219,6 @@ func writeServerBenchJSON(path string) error {
 	return writeSnapshot(path, snap)
 }
 
-// runPortfolioComparison solves every Table I gap instance with the
-// single-strategy default and with a K-strategy clause-sharing portfolio,
-// printing per-instance wall-clock (best of 3) plus the geomean ratio and
-// the aggregate winner table — the BENCH comparison for the racing layer.
-func runPortfolioComparison(k int) error {
-	ms := eval.GapSuiteMatrices()
-	seqOpts := eval.TableIGapSAPOptions()
-	raceOpts := eval.TableIGapPortfolioOptions(k)
-
-	bestOf := func(m *bitmat.Matrix, opts core.Options) (time.Duration, *core.Result, error) {
-		var best time.Duration
-		var res *core.Result
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			r, err := core.Solve(m, opts)
-			if err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(t0); res == nil || d < best {
-				best, res = d, r
-			}
-		}
-		return best, res, nil
-	}
-
-	fmt.Printf("portfolio comparison: K=%d, clause sharing on, %d gap instances\n\n", k, len(ms))
-	fmt.Printf("%-4s %12s %12s %7s  %s\n", "#", "seq", "race", "ratio", "deciding strategy")
-	wins := map[string]int{}
-	logRatioSum, n := 0.0, 0
-	var seqTotal, raceTotal time.Duration
-	for i, m := range ms {
-		seqD, seqRes, err := bestOf(m, seqOpts)
-		if err != nil {
-			return err
-		}
-		raceD, raceRes, err := bestOf(m, raceOpts)
-		if err != nil {
-			return err
-		}
-		// Completed solves must agree exactly; budget-boundary timeouts are
-		// best-effort on the racing side (DESIGN.md §9) and only warn.
-		switch {
-		case seqRes.Optimal && raceRes.Optimal && raceRes.Depth != seqRes.Depth:
-			return fmt.Errorf("instance %d: race result diverged (depth %d vs %d)", i, raceRes.Depth, seqRes.Depth)
-		case seqRes.Optimal != raceRes.Optimal:
-			fmt.Printf("note: instance %d decided only by one side (seq optimal=%v, race optimal=%v)\n",
-				i, seqRes.Optimal, raceRes.Optimal)
-		}
-		winner := "-"
-		if p := raceRes.Portfolio; p != nil {
-			for name, c := range p.Wins {
-				wins[name] += c
-			}
-			if len(p.BlockWinners) > 0 && p.BlockWinners[len(p.BlockWinners)-1] != "" {
-				winner = p.BlockWinners[len(p.BlockWinners)-1]
-			}
-		}
-		ratio := float64(raceD) / float64(seqD)
-		logRatioSum += math.Log(ratio)
-		n++
-		seqTotal += seqD
-		raceTotal += raceD
-		fmt.Printf("%-4d %12v %12v %7.2f  %s\n", i, seqD.Round(time.Microsecond), raceD.Round(time.Microsecond), ratio, winner)
-	}
-	geomean := math.Exp(logRatioSum / float64(n))
-	fmt.Printf("\ngeomean race/seq ratio: %.3f (<1 means racing is faster)\n", geomean)
-	fmt.Printf("totals: seq=%v race=%v\n", seqTotal.Round(time.Millisecond), raceTotal.Round(time.Millisecond))
-	fmt.Printf("round wins: %v\n", wins)
-	return nil
-}
-
 func writeSnapshot(path string, snap benchSnapshot) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -319,8 +239,6 @@ func main() {
 	csvPath := flag.String("csv", "", "also write all per-instance results as CSV to this file")
 	jsonOut := flag.Bool("json", false, "run the Solver/SAP perf workloads and write BENCH_solver.json")
 	serverJSON := flag.Bool("server-json", false, "run the serving-subsystem workloads and write BENCH_server.json")
-	portfolioCmp := flag.Bool("portfolio", false, "compare single-strategy vs portfolio racing on the Table I gap suites and exit")
-	portfolioK := flag.Int("portfolio-k", 3, "portfolio size for -portfolio")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -351,14 +269,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "timing:", err)
 			}
 		}()
-	}
-
-	if *portfolioCmp {
-		if err := runPortfolioComparison(*portfolioK); err != nil {
-			fmt.Fprintln(os.Stderr, "timing:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *jsonOut {

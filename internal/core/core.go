@@ -13,8 +13,9 @@
 //	Per-block SAP (solveBlock)     — Algorithm 1 on each block, concurrently
 //	Recombine                      — union the partitions, stitch certificates
 //
-// Each block's SAT narrowing loop is portfolio.Race: one strategy narrowing
-// alone when racing is off, K strategies racing each bound when it is on.
+// Each block's SAT stage is one narrowing loop (narrow) over one Strategy:
+// the configuration the ablation fields describe, or a named one
+// (Options.Strategy).
 //
 // The depth objective is additive over components (a rectangle spanning two
 // components would cover a 0), so the blockwise union of optima is a global
@@ -40,9 +41,9 @@ import (
 	"repro/internal/encode"
 	"repro/internal/fooling"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 	"repro/internal/rect"
 	"repro/internal/rowpack"
+	"repro/internal/sat"
 )
 
 // Certificate says why a result is known optimal.
@@ -131,43 +132,13 @@ type Options struct {
 	DisablePhaseSaving bool
 	// DisableInprocessing turns off the solver's between-restart clause
 	// database simplification (vivification + binary self-subsumption);
-	// kept as an ablation for the native-AMO/inprocessing PR.
+	// kept as an ablation (DESIGN §12 times it on the hard-tail suite).
 	DisableInprocessing bool
-	// Portfolio configures per-block strategy racing (internal/portfolio):
-	// K diverse solver configurations attack each block's depth decisions
-	// concurrently and the first verdict wins. Default off (Size ≤ 1) so
-	// the single-strategy ablations stay clean.
-	Portfolio PortfolioOptions
-}
-
-// PortfolioOptions tunes the per-block racing layer.
-type PortfolioOptions struct {
-	// Size is the number of racers K; ≤ 1 disables racing.
-	Size int
-	// Strategies optionally names the racing set explicitly ("canonical"
-	// plus names from portfolio.Names()). Empty means a default diverse set
-	// seeded deterministically from each block's fingerprint. When set, its
-	// length overrides Size.
-	Strategies []string
-	// ShareClauses exchanges short glue clauses (LBD ≤ 2, length ≤ 8)
-	// between racers of the same encoding family.
-	ShareClauses bool
-	// StrategyBudgets caps each racer's lifetime conflicts (aligned with
-	// the resolved strategy list; ≤ 0 entries mean uncapped). Primarily a
-	// test/ablation hook: forcing each strategy to win in turn is how the
-	// determinism contract is exercised.
-	StrategyBudgets []int64
-	// HeadStart is the solo-phase conflict budget before the competitors
-	// launch (0 = the portfolio default, negative = race immediately).
-	HeadStart int64
-}
-
-// Enabled reports whether the options ask for the racing layer. A single
-// named strategy counts: it runs that strategy solo through the race
-// machinery (the documented "-strategies implies -portfolio" contract, and
-// the way to ablate one non-canonical configuration).
-func (p PortfolioOptions) Enabled() bool {
-	return p.Size > 1 || len(p.Strategies) > 0
+	// Strategy names the solver configuration of the narrowing loop
+	// ("canonical" or a name from Names()). Empty means the configuration
+	// the ablation fields above describe, as does "canonical"; any other
+	// name runs that strategy as it stands.
+	Strategy string
 }
 
 // DefaultOptions mirror the paper's configuration at moderate effort:
@@ -232,43 +203,6 @@ type Result struct {
 	// only until it meets the block's rank bound (rowpack.PackDownTo), so
 	// a rank-certified block's share is a fraction of a full Pack's.
 	PackTime, SATTime time.Duration
-	// Portfolio carries racing provenance (nil when racing was off). With
-	// racing on, Conflicts includes the cancelled racers' work; the
-	// winner-only share is Conflicts − Portfolio.LoserConflicts.
-	Portfolio *PortfolioStats
-}
-
-// PortfolioStats aggregates per-block racing outcomes across the solve.
-type PortfolioStats struct {
-	// Wins counts race-round wins per strategy name.
-	Wins map[string]int
-	// BlockWinners records, in block order, the strategy that decided each
-	// raced block's final round ("" for blocks that never reached the SAT
-	// stage or timed out undecided).
-	BlockWinners []string
-	// LoserConflicts is the total conflicts spent by cancelled or
-	// exhausted racers — the redundant work racing paid for its latency.
-	LoserConflicts int64
-	// SharedExported and SharedImported count clause-exchange traffic.
-	SharedExported, SharedImported int64
-}
-
-// merge folds a block's racing stats into the solve-wide aggregate.
-func (p *PortfolioStats) merge(b *PortfolioStats) {
-	if b == nil {
-		p.BlockWinners = append(p.BlockWinners, "")
-		return
-	}
-	if p.Wins == nil {
-		p.Wins = map[string]int{}
-	}
-	for name, n := range b.Wins {
-		p.Wins[name] += n
-	}
-	p.BlockWinners = append(p.BlockWinners, b.BlockWinners...)
-	p.LoserConflicts += b.LoserConflicts
-	p.SharedExported += b.SharedExported
-	p.SharedImported += b.SharedImported
 }
 
 // markOptimalByBound records optimality established by the depth meeting a
@@ -304,13 +238,11 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(opts.Portfolio.Strategies) > 0 {
-		// Validate strategy names up front: blocks resolve their racing
-		// sets lazily, so a typo would otherwise surface only on inputs
-		// hard enough to race (or never).
-		if _, err := resolveStrategies(m, opts); err != nil {
-			return nil, err
-		}
+	// Resolve the strategy up front, so a typo is an error on every input
+	// and not only on those that reach the SAT stage.
+	st, err := strategyFor(opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Stage 1: Preprocess — work on the compressed matrix; lift the
@@ -365,7 +297,7 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 	errs := make([]error, len(blocks))
 	if par := parallelism(opts, len(blocks)); par <= 1 {
 		for i := range blocks {
-			results[i], errs[i] = solveBlock(ctx, i, blocks[i].M, opts, budgets[i], deadline)
+			results[i], errs[i] = solveBlock(ctx, i, blocks[i].M, opts, st, budgets[i], deadline)
 		}
 	} else {
 		idx := make(chan int)
@@ -375,7 +307,7 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					results[i], errs[i] = solveBlock(ctx, i, blocks[i].M, opts, budgets[i], deadline)
+					results[i], errs[i] = solveBlock(ctx, i, blocks[i].M, opts, st, budgets[i], deadline)
 				}
 			}()
 		}
@@ -418,12 +350,6 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 		if br.Certificate > res.Certificate {
 			res.Certificate = br.Certificate
 		}
-		if opts.Portfolio.Enabled() {
-			if res.Portfolio == nil {
-				res.Portfolio = &PortfolioStats{Wins: map[string]int{}}
-			}
-			res.Portfolio.merge(br.Portfolio)
-		}
 	}
 	if !res.Optimal {
 		res.Certificate = CertNone
@@ -444,28 +370,11 @@ func wholeBlock(m *bitmat.Matrix) bitmat.Block {
 	return bitmat.Block{M: m, Rows: rows, Cols: cols}
 }
 
-// parallelism resolves the worker-pool width for nBlocks blocks. With
-// portfolio racing on, each block spawns K racer goroutines of its own, so
-// the block-level width shrinks to keep the total goroutine fan-out near
-// the configured parallelism.
+// parallelism resolves the worker-pool width for nBlocks blocks.
 func parallelism(opts Options, nBlocks int) int {
 	p := opts.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
-	}
-	if opts.Portfolio.Enabled() && opts.Portfolio.HeadStart < 0 {
-		// Immediate racing guarantees K goroutines per block, so shrink the
-		// block pool to keep the total fan-out near the configured width.
-		// With a head start (the default) most blocks stay solo and never
-		// spawn competitors — shrinking up front would idle cores — so the
-		// rare escalated block briefly oversubscribes instead.
-		k := opts.Portfolio.Size
-		if n := len(opts.Portfolio.Strategies); n > 0 {
-			k = n
-		}
-		if k > 1 {
-			p = (p + k - 1) / k
-		}
 	}
 	if p > nBlocks {
 		p = nBlocks
@@ -519,7 +428,7 @@ func apportionConflicts(total int64, blocks []bitmat.Block) []int64 {
 // leave the result exactly as an uncapped run would (see PackDownTo and
 // ExactUpTo). The returned Result carries a block-local partition (not yet
 // lifted or validated) plus the block's provenance fields.
-func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Options, conflictBudget int64, deadline time.Time) (*Result, error) {
+func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Options, st Strategy, conflictBudget int64, deadline time.Time) (*Result, error) {
 	res := &Result{Blocks: 1}
 	if m.Ones() == 0 {
 		res.Optimal = true
@@ -579,95 +488,18 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 		return res, nil
 	}
 
-	// Stage 2: SAT narrowing loop (Algorithm 1, lines 2–10), run by
-	// portfolio.Race with the base strategy alone unless racing is on.
+	// Stage 2: SAT narrowing loop (Algorithm 1, lines 2–10).
 	tSAT := time.Now()
 	defer func() { res.SATTime = time.Since(tSAT) }()
-
-	base := []portfolio.Strategy{baseStrategy(opts)}
-	spec := portfolio.RaceSpec{
-		M:              m,
-		Block:          blockIdx,
-		Start:          best.Depth() - 1,
-		LB:             lb,
-		Strategies:     base,
-		ConflictBudget: conflictBudget,
-		Deadline:       deadline,
+	unsat, err := narrow(ctx, res, m, blockIdx, best.Depth()-1, lb, st, conflictBudget, deadline)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Portfolio.Enabled() {
-		strategies, err := resolveStrategies(m, opts)
-		if err != nil {
-			return nil, err
-		}
-		spec.Strategies = strategies
-		spec.StrategyBudgets = opts.Portfolio.StrategyBudgets
-		spec.ShareClauses = opts.Portfolio.ShareClauses
-		spec.HeadStart = opts.Portfolio.HeadStart
-	}
-	out := portfolio.Race(ctx, spec)
-	if out.Err != nil {
-		return nil, fmt.Errorf("core: model readout failed: %w", out.Err)
-	}
-	res.SATCalls += out.Rounds
-	res.Conflicts += out.WinnerConflicts + out.LoserConflicts
-	res.TimedOut, res.Canceled = out.TimedOut, out.Canceled
-	if opts.Portfolio.Enabled() {
-		res.Portfolio = &PortfolioStats{
-			Wins:           out.Wins,
-			BlockWinners:   []string{out.Winner},
-			LoserConflicts: out.LoserConflicts,
-			SharedExported: out.SharedExported,
-			SharedImported: out.SharedImported,
-		}
-	}
-
+	// With unsat the partition has the proven-optimal depth: either no bound
+	// was satisfiable (the packed partition one above the UNSAT bound
+	// stands) or it is the model one above it.
 	switch {
-	case out.Partition != nil:
-		// A solo round decided the last satisfiable bound: its model is the
-		// narrowing loop's own.
-		res.Partition = out.Partition
-	case out.BestBound >= 0:
-		// A competitor decided it. A race decides statuses only, which are
-		// properties of the matrix, so the partition is re-derived by a
-		// one-strategy race of the base strategy at that bound: a pure
-		// function of (matrix, bound, options), whichever racer won. This is
-		// result materialization, not search, so it gets a fresh copy of the
-		// full block budget instead of the race's leftovers; worst case the
-		// block spends 2× its budget, and it never silently loses a result
-		// it paid for. Deadline and cancellation still apply, and when they
-		// stop it the heuristic partition stands.
-		rctx, rsp := obs.StartSpan(ctx, "rederive")
-		rsp.SetAttrInt("bound", int64(out.BestBound))
-		ro := portfolio.Race(rctx, portfolio.RaceSpec{
-			M:              m,
-			Block:          blockIdx,
-			Start:          out.BestBound,
-			LB:             out.BestBound,
-			Strategies:     base,
-			ConflictBudget: conflictBudget,
-			Deadline:       deadline,
-		})
-		rsp.End()
-		res.SATCalls += ro.Rounds
-		res.Conflicts += ro.WinnerConflicts
-		switch {
-		case ro.Err != nil:
-			return nil, fmt.Errorf("core: model readout failed: %w", ro.Err)
-		case ro.UnsatProven:
-			return nil, fmt.Errorf("core: internal error: race proved bound %d satisfiable but canonical re-derivation found UNSAT", out.BestBound)
-		case ro.Partition == nil:
-			res.TimedOut, res.Canceled = true, ro.Canceled
-			return res, nil // heuristic partition stands
-		}
-		res.Partition = ro.Partition
-	}
-
-	// Reaching this point with UnsatProven means the partition really has
-	// the proven-optimal depth: either no bound was ever satisfiable
-	// (BestBound −1, the heuristic partition at Start+1 stands) or the
-	// partition is a model at BestBound.
-	switch {
-	case out.UnsatProven:
+	case unsat:
 		res.Optimal = true
 		res.Certificate = CertUnsat
 	case !res.TimedOut && res.Partition.Depth() <= lb:
@@ -676,30 +508,121 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 	return res, nil
 }
 
-// baseStrategy maps the single-strategy options onto a portfolio strategy:
-// the configuration of the narrowing loop when racing is off, of racer 0
-// and of the re-derivation, so the three cannot drift apart.
-func baseStrategy(opts Options) portfolio.Strategy {
-	st := portfolio.Canonical()
-	st.AMO = opts.AMO
-	st.Destructive = opts.DisableIncremental
-	st.NoSymmetryBreaking = opts.DisableSymmetryBreaking
-	st.Solver.PhaseSaving = !opts.DisablePhaseSaving
-	st.Solver.Inprocess = !opts.DisableInprocessing
-	return st
+// probeChunk is the conflict chunk of one bound's SAT call: between chunks
+// the deadline and the context are re-checked.
+const probeChunk = 20_000
+
+// narrow is the SAP narrowing loop (Algorithm 1, lines 2–10). It builds the
+// strategy's encoder at bound start (the packed depth − 1) and decides one
+// bound per SAT call, counted in res.SATCalls and recorded as a probe span.
+// Each satisfiable bound's model becomes res.Partition and the bound narrows
+// by one, until a bound is UNSAT (reported as unsat), the lower bound lb is
+// met, or the block's conflict budget, the deadline or the context stops it
+// (res.TimedOut, res.Canceled). The encoder keeps its learnt clauses,
+// phases and activities from one bound to the next.
+func narrow(ctx context.Context, res *Result, m *bitmat.Matrix, blockIdx, start, lb int, st Strategy, budget int64, deadline time.Time) (unsat bool, err error) {
+	enc := st.NewEncoder(m, start)
+	s := enc.Solver()
+	defer progress(ctx, enc, blockIdx, lb)()
+	s.SetInterrupt(func() bool { return ctx.Err() != nil })
+	defer s.SetInterrupt(nil)
+
+	remaining := budget // ≤ 0: unlimited
+	exhausted := func() bool { return budget > 0 && remaining <= 0 }
+	for b := start; b >= lb; b-- {
+		res.SATCalls++
+		_, sp := obs.StartSpan(ctx, "probe")
+		sp.SetAttrInt("bound", int64(b))
+		status, spent := solveBound(ctx, enc, deadline, remaining)
+		res.Conflicts += spent
+		if budget > 0 {
+			remaining -= spent
+		}
+		sp.SetAttr("status", status.String())
+		sp.SetAttrInt("conflicts", spent)
+		sp.End()
+		switch status {
+		case sat.Unknown:
+			res.TimedOut = true
+			res.Canceled = ctx.Err() != nil && !exhausted()
+			return false, nil
+		case sat.Unsat:
+			return true, nil
+		}
+		p, err := enc.ReadPartition()
+		if err != nil {
+			return false, fmt.Errorf("core: model readout failed: %w", err)
+		}
+		res.Partition = p
+		if b == lb {
+			return false, nil // optimal by bound
+		}
+		if exhausted() {
+			res.TimedOut = true
+			return false, nil
+		}
+		enc.Narrow()
+	}
+	return false, nil
 }
 
-// resolveStrategies builds the racing set for one block: the canonical
-// strategy is baseStrategy (so racer 0 is exactly the solver a non-racing
-// Solve would run), and the companions come either from the explicitly
-// named list or from the default diverse pool seeded by the block's
-// fingerprint.
-func resolveStrategies(m *bitmat.Matrix, opts Options) ([]portfolio.Strategy, error) {
-	base := baseStrategy(opts)
-	if names := opts.Portfolio.Strategies; len(names) > 0 {
-		return portfolio.Resolve(base, names)
+// solveBound decides the encoder's current bound in conflict chunks of
+// probeChunk, re-checking the context and the deadline between chunks, and
+// spends at most remaining conflicts (≤ 0 = unbounded). It returns Unknown
+// when any of them stops it first.
+func solveBound(ctx context.Context, enc encode.Encoder, deadline time.Time, remaining int64) (sat.Status, int64) {
+	s := enc.Solver()
+	var spent int64
+	for {
+		if ctx.Err() != nil || deadlineExpired(deadline) {
+			return sat.Unknown, spent
+		}
+		chunk := int64(probeChunk)
+		if remaining > 0 {
+			if rem := remaining - spent; rem <= 0 {
+				return sat.Unknown, spent
+			} else if rem < chunk {
+				chunk = rem
+			}
+		}
+		s.SetConflictBudget(chunk)
+		before := s.Conflicts
+		status := enc.Solve()
+		spent += s.Conflicts - before
+		if status != sat.Unknown {
+			s.SetConflictBudget(-1)
+			return status, spent
+		}
 	}
-	return portfolio.DefaultStrategies(base, opts.Portfolio.Size, portfolio.Seed(m)), nil
+}
+
+// progress installs the sampled search-telemetry hook on the encoder's
+// solver for the whole narrowing loop and returns its uninstaller. An
+// initial sample marks the SAT stage start, so every traced block that
+// reaches SAT has at least one sample even when it decides in fewer
+// conflicts than the sampling interval. The hook runs on the loop's own
+// goroutine, so reading the live bound needs no synchronization. No-op on
+// untraced contexts.
+func progress(ctx context.Context, enc encode.Encoder, block, lb int) func() {
+	every := obs.ProgressEvery(ctx)
+	if every <= 0 {
+		return func() {}
+	}
+	obs.AddProgress(ctx, obs.ProgressSample{Time: time.Now(), Block: block, Bound: enc.Bound(), LB: lb})
+	s := enc.Solver()
+	s.SetProgress(every, func(p sat.Progress) {
+		obs.AddProgress(ctx, obs.ProgressSample{
+			Time:         time.Now(),
+			Block:        block,
+			Bound:        enc.Bound(),
+			LB:           lb,
+			Conflicts:    p.Conflicts,
+			Restarts:     p.Restarts,
+			Propagations: p.Propagations,
+			Learnts:      p.Learnts,
+		})
+	})
+	return func() { s.SetProgress(0, nil) }
 }
 
 // deadlineExpired reports whether a nonzero deadline has passed.

@@ -12,7 +12,7 @@ import (
 
 func TestSolveChunkedBudgetLoop(t *testing.T) {
 	// A conflict budget larger than one chunk but finite exercises the
-	// chunked solo rounds of portfolio.Race (chunk size is 20k).
+	// chunked bounds of the narrowing loop (chunk size is 20k).
 	rng := rand.New(rand.NewSource(21))
 	var m *bitmat.Matrix
 	for {

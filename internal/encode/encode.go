@@ -86,14 +86,6 @@ type Encoder interface {
 	// ReadPartition extracts the rectangle partition from the last Sat
 	// model.
 	ReadPartition() (*rect.Partition, error)
-	// CoreVars returns the count of leading solver variables whose meaning
-	// is a function of (matrix, built bound) alone — identical across every
-	// encoder of the same family built for the same matrix and initial
-	// bound, regardless of AMO encoding, symmetry breaking or incremental
-	// mode. Learnt clauses mentioning only variables below this count may
-	// soundly be exchanged between such encoders (portfolio clause
-	// sharing).
-	CoreVars() int
 }
 
 // entryIndex enumerates the 1-entries of m in row-major order — the index

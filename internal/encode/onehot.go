@@ -254,18 +254,6 @@ func (e *OneHot) addAMOSequential(vs []sat.Var) {
 // Bound returns the current rectangle budget.
 func (e *OneHot) Bound() int { return e.b }
 
-// CoreVars returns the size of the x[e][k] variable block: the first
-// len(entries)×built variables are the entry-slot indicators, allocated in
-// the same order by every one-hot encoder over the same matrix and initial
-// bound (AMO/ordering/selector auxiliaries all come later). Clauses over
-// this prefix are safe to share between one-hot racers.
-func (e *OneHot) CoreVars() int {
-	if len(e.idx.pos) == 0 || e.built < 1 {
-		return 0
-	}
-	return len(e.idx.pos) * e.built
-}
-
 // Solver exposes the SAT solver.
 func (e *OneHot) Solver() *sat.Solver { return e.s }
 

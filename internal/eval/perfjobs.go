@@ -62,16 +62,6 @@ func TableIGapSAPOptions() core.Options {
 	return opts
 }
 
-// TableIGapPortfolioOptions is the racing twin of TableIGapSAPOptions: the
-// same budgets with a K-strategy portfolio and clause sharing — the perf
-// pair that records what racing buys on the gap suites.
-func TableIGapPortfolioOptions(k int) core.Options {
-	opts := TableIGapSAPOptions()
-	opts.Portfolio.Size = k
-	opts.Portfolio.ShareClauses = true
-	return opts
-}
-
 // GapSuiteMatrices returns the SAPTableIGap instance set (pair counts 2–5,
 // 5 instances each, bench_test seeds).
 func GapSuiteMatrices() []*bitmat.Matrix {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/portfolio"
 )
 
 // racerInstance is one named matrix of the survivor set.
@@ -30,18 +29,19 @@ func racerInstances() []racerInstance {
 	}
 }
 
-// TestEverySurvivingRacerWins is the measurement that keeps each pool
-// strategy in portfolio: run alone under a conflict budget, every strategy
-// except native-amo (the canonical configuration under its explicit name)
-// spends fewer conflicts than canonical on at least one instance. A strategy
-// that stops winning anywhere is a candidate for deletion.
+// TestEverySurvivingRacerWins is the measurement that keeps each named
+// strategy as a solo choice (core.Options.Strategy): run alone under a
+// conflict budget, every strategy except native-amo (the canonical
+// configuration under its explicit name) spends fewer conflicts than
+// canonical on at least one instance. A strategy that stops winning
+// anywhere is a candidate for deletion.
 func TestEverySurvivingRacerWins(t *testing.T) {
 	instances := racerInstances()
 	conflicts := func(m *bitmat.Matrix, name string) int64 {
 		opts := core.DefaultOptions()
 		opts.FoolingBudget = 0
 		opts.ConflictBudget = 50_000
-		opts.Portfolio.Strategies = []string{name}
+		opts.Strategy = name
 		res, err := core.Solve(m, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestEverySurvivingRacerWins(t *testing.T) {
 	for i, in := range instances {
 		canonical[i] = conflicts(in.m, "canonical")
 	}
-	for _, name := range portfolio.Names() {
+	for _, name := range core.Names() {
 		if name == "canonical" {
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/bitmat"
 	"repro/internal/core"
-	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
 
@@ -140,7 +139,7 @@ func solverWorkPins() []workPin {
 			name: "single-named-strategy", ms: GapSuiteMatrices,
 			opts: func() core.Options {
 				opts := TableIGapSAPOptions()
-				opts.Portfolio.Strategies = []string{"luby"}
+				opts.Strategy = "luby"
 				return opts
 			},
 			depth: 141, conflicts: 875, satCalls: 4, optimal: 20,
@@ -229,7 +228,7 @@ func TestSolverWorkPins(t *testing.T) {
 // proves Fig. 1b by its fooling set, without SAT.)
 func TestFig1bDecisionPin(t *testing.T) {
 	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
-	enc := portfolio.Canonical().NewEncoder(m, 4)
+	enc := core.Canonical().NewEncoder(m, 4)
 	if st := enc.Solve(); st != sat.Unsat {
 		t.Fatalf("status %v, want UNSAT", st)
 	}

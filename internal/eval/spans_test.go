@@ -45,8 +45,8 @@ func spanAttr(sp obs.SpanData, key string) (string, bool) {
 	return "", false
 }
 
-// checkSATBlocksHaveProgress asserts that every block span with a probe or
-// round child has at least one progress sample labelled with its index.
+// checkSATBlocksHaveProgress asserts that every block span with a probe
+// child has at least one progress sample labelled with its index.
 func checkSATBlocksHaveProgress(t *testing.T, td *obs.TraceData) {
 	t.Helper()
 	sampled := map[string]bool{}
@@ -55,7 +55,7 @@ func checkSATBlocksHaveProgress(t *testing.T, td *obs.TraceData) {
 	}
 	reachedSAT := map[uint64]bool{}
 	for _, sp := range td.Spans {
-		if sp.Name == "probe" || sp.Name == "round" {
+		if sp.Name == "probe" {
 			reachedSAT[sp.Parent] = true
 		}
 	}
@@ -75,63 +75,25 @@ func checkSATBlocksHaveProgress(t *testing.T, td *obs.TraceData) {
 	}
 }
 
-// TestSpanShapeUnraced: a block that reaches SAT without racing records one
-// probe span per bound with bound, status and conflicts, and no round span.
+// TestSpanShapeUnraced: a block that reaches SAT records one probe span per
+// bound with bound, status and conflicts, under the default configuration
+// and under a named strategy alike.
 func TestSpanShapeUnraced(t *testing.T) {
-	_, td := tracedSolve(t, gap8, core.DefaultOptions())
-	probes := spansNamed(td, "probe")
-	if len(probes) == 0 {
-		t.Fatal("no probe span")
-	}
-	for _, p := range probes {
-		for _, key := range []string{"bound", "status", "conflicts"} {
-			if _, ok := spanAttr(p, key); !ok {
-				t.Errorf("probe span lacks %q: %+v", key, p.Attrs)
+	luby := core.DefaultOptions()
+	luby.Strategy = "luby"
+	for _, opts := range []core.Options{core.DefaultOptions(), luby} {
+		_, td := tracedSolve(t, gap8, opts)
+		probes := spansNamed(td, "probe")
+		if len(probes) == 0 {
+			t.Fatalf("strategy %q: no probe span", opts.Strategy)
+		}
+		for _, p := range probes {
+			for _, key := range []string{"bound", "status", "conflicts"} {
+				if _, ok := spanAttr(p, key); !ok {
+					t.Errorf("strategy %q: probe span lacks %q: %+v", opts.Strategy, key, p.Attrs)
+				}
 			}
 		}
+		checkSATBlocksHaveProgress(t, td)
 	}
-	if n := len(spansNamed(td, "round")); n != 0 {
-		t.Errorf("unraced solve recorded %d round spans", n)
-	}
-	checkSATBlocksHaveProgress(t, td)
-}
-
-// TestSpanShapeRaced: a raced block records round spans that name the
-// strategy that decided each bound.
-func TestSpanShapeRaced(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Portfolio.Size = 3
-	opts.Portfolio.HeadStart = -1
-	_, td := tracedSolve(t, gap8, opts)
-	rounds := spansNamed(td, "round")
-	if len(rounds) == 0 {
-		t.Fatal("no round span")
-	}
-	for _, r := range rounds {
-		if w, ok := spanAttr(r, "winner"); !ok || w == "" {
-			t.Errorf("round span lacks a winner: %+v", r.Attrs)
-		}
-	}
-	checkSATBlocksHaveProgress(t, td)
-}
-
-// TestSpanShapeRederive: when a competitor decides the last satisfiable
-// bound, the partition is re-derived once, inside one rederive span. Racer 0
-// is starved to one conflict, so luby decides every bound.
-func TestSpanShapeRederive(t *testing.T) {
-	m := paperSuitesSmall()[15]
-	opts := foolingOff()
-	opts.ConflictBudget = 200_000
-	opts.Packing.Trials = 1
-	opts.Portfolio.Strategies = []string{"canonical", "luby"}
-	opts.Portfolio.StrategyBudgets = []int64{1, 0}
-	opts.Portfolio.HeadStart = -1
-	res, td := tracedSolve(t, m, opts)
-	if res.HeuristicDepth != 9 || res.Depth != 8 {
-		t.Fatalf("heuristic depth %d, depth %d; want 9 and 8", res.HeuristicDepth, res.Depth)
-	}
-	if n := len(spansNamed(td, "rederive")); n != 1 {
-		t.Fatalf("%d rederive spans, want 1", n)
-	}
-	checkSATBlocksHaveProgress(t, td)
 }

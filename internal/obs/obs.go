@@ -16,10 +16,10 @@
 //     gateway shows gateway, backend, per-block and per-depth spans as one
 //     tree. Span IDs are random 64-bit values, so cross-process grafting
 //     needs no renumbering.
-//   - Concurrency-safe recording. Blocks solve on a worker pool and portfolio
-//     racers run concurrently; spans parent through the context and finished
-//     spans append to the trace under a small mutex, so the tree assembles
-//     correctly whatever the interleaving.
+//   - Concurrency-safe recording. Blocks solve concurrently on a worker
+//     pool; spans parent through the context and finished spans append to
+//     the trace under a small mutex, so the tree assembles correctly
+//     whatever the interleaving.
 //
 // The span *data* model is flat: each span records its parent ID and the tree
 // is assembled at read time (Tree), which keeps recording lock-cheap and

@@ -1,6 +1,6 @@
 package sat
 
-// Config collects the search heuristics a portfolio racer varies, so a
+// Config collects the search heuristics a named strategy varies, so a
 // family of differently-configured solvers can be described as data
 // instead of a sequence of field pokes. The fields mirror the exported
 // knobs on Solver.
@@ -20,8 +20,8 @@ func DefaultConfig() Config {
 	return Config{PhaseSaving: true, Inprocess: true}
 }
 
-// ApplyTo writes the configuration onto an existing solver (the way the
-// portfolio racer configures the solver an encoder already built).
+// ApplyTo writes the configuration onto an existing solver (the way a
+// strategy configures the solver an encoder already built).
 func (cfg Config) ApplyTo(s *Solver) {
 	s.PhaseSaving = cfg.PhaseSaving
 	s.LubyRestarts = cfg.LubyRestarts

@@ -103,9 +103,7 @@ func TestInprocessVivification(t *testing.T) {
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 	_ = c
 	s.AddClause(PosLit(a), PosLit(b)) // ¬a → b
-	if !s.ImportLearnt([]Lit{PosLit(a), PosLit(b), PosLit(c)}, 2) {
-		t.Fatal("import refused")
-	}
+	addLearnt(s, []Lit{PosLit(a), PosLit(b), PosLit(c)}, 2)
 	s.vivifySweep()
 	if s.InprocStrengthened != 1 {
 		t.Fatalf("InprocStrengthened = %d, want 1", s.InprocStrengthened)
@@ -113,6 +111,16 @@ func TestInprocessVivification(t *testing.T) {
 	if n := s.ca.size(s.learnts[0]); n != 2 {
 		t.Fatalf("vivified clause size = %d, want 2", n)
 	}
+}
+
+// addLearnt installs lits, which must be a clause of distinct variables
+// unassigned at the root, as a learnt clause with the given LBD.
+func addLearnt(s *Solver, lits []Lit, lbd int) {
+	c := s.ca.alloc(lits, true)
+	s.ca.setActivity(c, s.claInc)
+	s.ca.setLBD(c, lbd)
+	s.learnts = append(s.learnts, c)
+	s.attachClause(c)
 }
 
 func TestInprocessAblationAgrees(t *testing.T) {

@@ -96,8 +96,6 @@ type Solver struct {
 	proof    *bufio.Writer // DRAT trace (nil when disabled)
 	proofBuf []Lit         // scratch for proof deletions
 
-	learntHook func(lits []Lit, lbd int) // observes every learnt clause
-
 	interrupt     func() bool // polled during search; true stops with Unknown
 	interruptTick uint32      // iteration counter between interrupt polls
 
@@ -215,14 +213,6 @@ func (s *Solver) SetConflictBudget(n int64) { s.budgetConflicts = n }
 // hook. This is how context cancellation reaches a search in flight: the
 // caller installs func() bool { return ctx.Err() != nil }.
 func (s *Solver) SetInterrupt(fn func() bool) { s.interrupt = fn }
-
-// SetLearntHook installs a callback invoked for every clause the solver
-// learns (including units), with the clause's literals and its LBD at learn
-// time. The slice is a scratch buffer reused by the next conflict: the hook
-// must copy what it keeps and must not block — it runs inside the search
-// loop. nil removes the hook. This is the export side of portfolio clause
-// sharing (see internal/portfolio).
-func (s *Solver) SetLearntHook(fn func(lits []Lit, lbd int)) { s.learntHook = fn }
 
 // Progress is a point-in-time sample of the search, handed to the hook
 // installed with SetProgress.
@@ -358,52 +348,6 @@ func (s *Solver) prepareClause(lits []Lit) (out []Lit, keep bool) {
 		prev = l
 	}
 	return out, true
-}
-
-// ImportLearnt installs a clause learned by another solver over the same
-// variable space as a learnt clause of this one, with the given learn-time
-// LBD. It must be called between Solve calls (the interrupt/budget machinery
-// returns with the trail at the root, so importing between conflict chunks
-// of an interrupted search is safe — this is the import side of portfolio
-// clause sharing). The caller is responsible for the clause being an
-// implicate of a formula equisatisfiable with this solver's; the clause
-// lands in the learnt database, so reduceDB may evict it like any other
-// learnt clause (shared clauses at or below glueLBD are glue and survive).
-// It reports whether the clause added any new information (false for
-// tautologies, root-satisfied clauses, and solvers already unsat). Importing
-// is refused while DRAT logging is active: a foreign clause is not derivable
-// from this solver's trace, so recording it would break proof checking.
-func (s *Solver) ImportLearnt(lits []Lit, lbd int) bool {
-	if s.unsatRoot || s.proof != nil {
-		return false
-	}
-	s.cancelUntil(0)
-	out, keep := s.prepareClause(lits)
-	if !keep {
-		return false
-	}
-	switch len(out) {
-	case 0:
-		s.unsatRoot = true
-	case 1:
-		if !s.enqueue(out[0], crefUndef) {
-			s.unsatRoot = true
-			return true
-		}
-		if s.propagate() != crefUndef {
-			s.unsatRoot = true
-		}
-	default:
-		c := s.ca.alloc(out, true)
-		s.ca.setActivity(c, s.claInc)
-		if lbd < 1 {
-			lbd = 1
-		}
-		s.ca.setLBD(c, lbd)
-		s.learnts = append(s.learnts, c)
-		s.attachClause(c)
-	}
-	return true
 }
 
 // attachClause installs the watchers of c: each watched literal's negation
@@ -828,9 +772,6 @@ func (s *Solver) pickBranchVar() Var {
 func (s *Solver) recordLearnt(lits []Lit, lbd int) {
 	s.Learned++
 	s.proofAdd(lits)
-	if s.learntHook != nil {
-		s.learntHook(lits, lbd)
-	}
 	if len(lits) == 1 {
 		// Asserting unit at level 0.
 		if !s.enqueue(lits[0], crefUndef) {

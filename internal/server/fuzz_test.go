@@ -55,7 +55,6 @@ func FuzzWireDecode(f *testing.F) {
 		MaxBodyBytes:     1 << 16,
 		DefaultTimeout:   50 * time.Millisecond,
 		MaxTimeout:       100 * time.Millisecond,
-		MaxPortfolio:     -1,
 		MaxBatch:         8,
 	}
 	srv := New(cfg)

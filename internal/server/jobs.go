@@ -520,7 +520,6 @@ func (s *Server) runShedJob(j *job, t *tenant, m *bitmat.Matrix, opts core.Optio
 	s.met.jobsShed.Add(1)
 	s.sched.countShed(t)
 	opts.SkipSAT = true
-	opts.Portfolio = core.PortfolioOptions{}
 	t0 := time.Now()
 	rj, res, err := s.cachedSolve(j.lifetime, m, opts)
 	if err != nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,16 +67,6 @@ type metrics struct {
 	packHist  obs.Histogram
 	satHist   obs.Histogram
 	queueHist obs.Histogram
-
-	// Portfolio counters. The win map is keyed by dynamic strategy names,
-	// so unlike the counters above it sits behind a small mutex — it is
-	// touched once per raced solve, not per request, so the lock is cold.
-	portfolioSolves    atomic.Int64
-	cancelledConflicts atomic.Int64
-	sharedExports      atomic.Int64
-	sharedImports      atomic.Int64
-	winsMu             sync.Mutex
-	wins               map[string]int64
 }
 
 // countRejection buckets a failed solveOne by its wire code (falling back to
@@ -124,46 +113,18 @@ func (m *metrics) observeSolve(res *core.Result, wall time.Duration) {
 	if res.Canceled {
 		m.canceled.Add(1)
 	}
-	if p := res.Portfolio; p != nil {
-		m.portfolioSolves.Add(1)
-		m.cancelledConflicts.Add(p.LoserConflicts)
-		m.sharedExports.Add(p.SharedExported)
-		m.sharedImports.Add(p.SharedImported)
-		if len(p.Wins) > 0 {
-			m.winsMu.Lock()
-			if m.wins == nil {
-				m.wins = make(map[string]int64)
-			}
-			for name, n := range p.Wins {
-				m.wins[name] += int64(n)
-			}
-			m.winsMu.Unlock()
-		}
-	}
-}
-
-// portfolioWins snapshots the per-strategy win counters.
-func (m *metrics) portfolioWins() map[string]int64 {
-	m.winsMu.Lock()
-	defer m.winsMu.Unlock()
-	out := make(map[string]int64, len(m.wins))
-	for name, n := range m.wins {
-		out[name] = n
-	}
-	return out
 }
 
 // MetricsSnapshot is the GET /v1/metrics response body.
 type MetricsSnapshot struct {
-	UptimeMS  int64            `json:"uptime_ms"`
-	Requests  RequestMetrics   `json:"requests"`
-	Jobs      JobMetrics       `json:"jobs"`
-	Webhooks  WebhookMetrics   `json:"webhooks"`
-	Solves    SolveMetrics     `json:"solves"`
-	Portfolio PortfolioMetrics `json:"portfolio"`
-	Queue     QueueMetrics     `json:"queue"`
-	Cache     solvecache.Stats `json:"cache"`
-	HitRate   float64          `json:"cache_hit_rate"`
+	UptimeMS int64            `json:"uptime_ms"`
+	Requests RequestMetrics   `json:"requests"`
+	Jobs     JobMetrics       `json:"jobs"`
+	Webhooks WebhookMetrics   `json:"webhooks"`
+	Solves   SolveMetrics     `json:"solves"`
+	Queue    QueueMetrics     `json:"queue"`
+	Cache    solvecache.Stats `json:"cache"`
+	HitRate  float64          `json:"cache_hit_rate"`
 	// Fills reports the replication endpoint's activity; Store the durable
 	// tier's state (nil when no store is attached); Journal the job
 	// journal's state (nil when jobs are memory-only).
@@ -178,18 +139,6 @@ type FillMetrics struct {
 	Stored    int64 `json:"stored"`
 	Duplicate int64 `json:"duplicate"`
 	Rejected  int64 `json:"rejected"`
-}
-
-// PortfolioMetrics aggregates the racing layer's behaviour: which
-// strategies actually win, how much work cancellation throws away, and how
-// much the clause exchange moves.
-type PortfolioMetrics struct {
-	Solves             int64            `json:"solves"`
-	Wins               map[string]int64 `json:"wins"`
-	CancelledConflicts int64            `json:"cancelled_conflicts"`
-	SharedExports      int64            `json:"shared_clause_exports"`
-	SharedImports      int64            `json:"shared_clause_imports"`
-	MaxPortfolio       int              `json:"max_portfolio"`
 }
 
 // RequestMetrics counts requests by disposition.
@@ -306,14 +255,6 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 			PackLatency: m.packHist.Snapshot(),
 			SATLatency:  m.satHist.Snapshot(),
 			QueueWait:   m.queueHist.Snapshot(),
-		},
-		Portfolio: PortfolioMetrics{
-			Solves:             m.portfolioSolves.Load(),
-			Wins:               m.portfolioWins(),
-			CancelledConflicts: m.cancelledConflicts.Load(),
-			SharedExports:      m.sharedExports.Load(),
-			SharedImports:      m.sharedImports.Load(),
-			MaxPortfolio:       s.cfg.MaxPortfolio,
 		},
 		Queue: QueueMetrics{
 			Depth:         int64(queued),

@@ -3,97 +3,52 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
-
-// TestPortfolioSolveEndToEnd: a raced solve returns the same depth as the
-// default path, carries racing stats, and shows up in /v1/metrics.
-func TestPortfolioSolveEndToEnd(t *testing.T) {
-	// Disable the fooling bound so fig1b's optimality needs the UNSAT proof
-	// at depth 4 — otherwise the race never runs and the stats are empty.
-	base := core.DefaultOptions()
-	base.FoolingBudget = 0
-	base.ConflictBudget = DefaultConflictBudget
-	_, ts := newTestServer(t, Config{Options: &base})
-	req := wire.SolveRequest{
-		Matrix: fig1b,
-		Options: &wire.SolveOptions{
-			Portfolio:    3,
-			ShareClauses: true,
-		},
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/solve", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	res := decodeResult(t, body)
-	if res.Depth != 5 || !res.Optimal {
-		t.Fatalf("raced solve wrong: %s", body)
-	}
-	if res.Portfolio == nil {
-		t.Fatalf("raced solve missing portfolio stats: %s", body)
-	}
-	if len(res.Portfolio.Wins) == 0 || res.Portfolio.BlockWinners[0] == "" {
-		t.Fatalf("portfolio stats empty: %+v", res.Portfolio)
-	}
-
-	mresp, mbody := get(t, ts.URL+"/v1/metrics")
-	if mresp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status %d", mresp.StatusCode)
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(mbody, &snap); err != nil {
-		t.Fatalf("bad metrics JSON: %v", err)
-	}
-	if snap.Portfolio.Solves != 1 {
-		t.Fatalf("portfolio solves = %d, want 1", snap.Portfolio.Solves)
-	}
-	total := int64(0)
-	for _, n := range snap.Portfolio.Wins {
-		total += n
-	}
-	if total == 0 {
-		t.Fatalf("no per-strategy wins in metrics: %+v", snap.Portfolio)
-	}
-	if snap.Portfolio.MaxPortfolio != 8 {
-		t.Fatalf("default MaxPortfolio = %d, want 8", snap.Portfolio.MaxPortfolio)
-	}
-}
-
-// TestPortfolioClamped: K beyond the configured maximum is clamped, and a
-// negative MaxPortfolio disables racing entirely.
-func TestPortfolioClamped(t *testing.T) {
-	s := New(Config{MaxPortfolio: 2})
-	opts, _ := s.solveBudgets(core.Options{Portfolio: core.PortfolioOptions{Size: 64}}, 0)
-	if opts.Portfolio.Size != 2 {
-		t.Fatalf("Size clamped to %d, want 2", opts.Portfolio.Size)
-	}
-	opts, _ = s.solveBudgets(core.Options{Portfolio: core.PortfolioOptions{
-		Strategies: []string{"canonical", "luby", "destructive"},
-	}}, 0)
-	if len(opts.Portfolio.Strategies) != 2 {
-		t.Fatalf("strategy list clamped to %d, want 2", len(opts.Portfolio.Strategies))
-	}
-
-	off := New(Config{MaxPortfolio: -1})
-	opts, _ = off.solveBudgets(core.Options{Portfolio: core.PortfolioOptions{Size: 4, ShareClauses: true}}, 0)
-	if opts.Portfolio.Enabled() || opts.Portfolio.ShareClauses {
-		t.Fatalf("racing not disabled: %+v", opts.Portfolio)
-	}
-}
 
 // TestPortfolioBadStrategy400: an unknown strategy name is a client error.
 func TestPortfolioBadStrategy400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := wire.SolveRequest{
 		Matrix:  fig1b,
-		Options: &wire.SolveOptions{PortfolioStrategies: []string{"canonical", "bogus"}},
+		Options: &wire.SolveOptions{PortfolioStrategies: []string{"bogus"}},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/solve", req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
+// TestReplayRetiredRacingOptionFails: a job journaled before strategy racing
+// was removed, with options that asked for a race, ends failed on replay
+// with a journal replay error. It never runs solo in silence.
+func TestReplayRetiredRacingOptionFails(t *testing.T) {
+	dir := t.TempDir()
+	jn := openTestJournal(t, dir)
+	id := wire.NewJobID("j-")
+	if err := jn.Append(&store.JobRecord{
+		Kind:    store.JobSubmit,
+		ID:      id,
+		Tenant:  "default",
+		Matrix:  fig1b,
+		Options: json.RawMessage(`{"portfolio":3}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	jn.Close()
+
+	_, ts := newTestServer(t, Config{Journal: openTestJournal(t, dir)})
+	j := waitJobState(t, ts.URL, "", id, func(j *wire.JobJSON) bool {
+		return wire.JobTerminal(j.State)
+	})
+	if j.State != wire.JobFailed || !strings.HasPrefix(j.Error, "journal replay: ") || !strings.Contains(j.Error, "portfolio") {
+		t.Fatalf("replayed racing job: state %q error %q, want failed with a journal replay error naming portfolio", j.State, j.Error)
+	}
+	if j.Result != nil {
+		t.Fatalf("replayed racing job carries a result: %+v", j.Result)
 	}
 }

@@ -75,11 +75,6 @@ type Config struct {
 	MaxMatrixEntries int
 	// MaxBatch caps the number of requests in one batch (default 64).
 	MaxBatch int
-	// MaxPortfolio clamps per-request portfolio sizes (default 8; negative
-	// disables racing entirely — requested portfolios collapse to the
-	// single-strategy solver). Racing multiplies a request's CPU cost by up
-	// to K, so an unclamped K would let one request monopolize the pool.
-	MaxPortfolio int
 	// Tenants declares the API-key → tenant map for QoS scheduling. The
 	// built-in "default" tenant (weight 1, no key, no quota) always exists
 	// for unauthenticated traffic; an entry named "default" overrides its
@@ -161,12 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxPortfolio == 0 {
-		c.MaxPortfolio = 8
-	}
-	if c.MaxPortfolio < 0 {
-		c.MaxPortfolio = 1 // clamp target: portfolio of 1 = no racing
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
@@ -320,15 +309,6 @@ func (s *Server) solveBudgets(opts core.Options, timeout time.Duration) (core.Op
 	if s.cfg.MaxConflictBudget > 0 &&
 		(opts.ConflictBudget <= 0 || opts.ConflictBudget > s.cfg.MaxConflictBudget) {
 		opts.ConflictBudget = s.cfg.MaxConflictBudget
-	}
-	if opts.Portfolio.Size > s.cfg.MaxPortfolio {
-		opts.Portfolio.Size = s.cfg.MaxPortfolio
-	}
-	if len(opts.Portfolio.Strategies) > s.cfg.MaxPortfolio {
-		opts.Portfolio.Strategies = opts.Portfolio.Strategies[:s.cfg.MaxPortfolio]
-	}
-	if s.cfg.MaxPortfolio <= 1 {
-		opts.Portfolio = core.PortfolioOptions{}
 	}
 	if timeout > 0 {
 		opts.TimeBudget = timeout

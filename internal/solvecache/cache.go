@@ -660,7 +660,6 @@ func lift(e *entry, fp *bitmat.Fingerprint, m *bitmat.Matrix, hit bool) (answer,
 		out.Conflicts = 0
 		out.PackTime = 0
 		out.SATTime = 0
-		out.Portfolio = nil // racing stats describe the original solve's work
 	}
 	return answer{res: &out, rects: rects}, nil
 }

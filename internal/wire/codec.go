@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -178,7 +177,9 @@ type rectSpan struct{ rows, rowsEnd, cols, colsEnd int }
 
 var partPool = sync.Pool{New: func() any { return new(partScratch) }}
 
-// decodeResult is the fast path of DecodeResult: every field but portfolio.
+// decodeResult is the fast path of DecodeResult: every field ResultJSON
+// has. It reports false on any other key, which DecodeResult's fallback
+// ignores.
 func decodeResult(data []byte, r *ResultJSON) bool {
 	s := fastjson.NewScanner(data)
 	var seen fastjson.Seen
@@ -319,9 +320,6 @@ func AppendResultJSON(dst []byte, r *ResultJSON) []byte {
 	if r.Fingerprint != "" {
 		dst = fastjson.AppendString(fastjson.Key(dst, "fingerprint"), r.Fingerprint)
 	}
-	if r.Portfolio != nil {
-		dst = appendPortfolio(fastjson.Key(dst, "portfolio"), r.Portfolio)
-	}
 	if r.Trace != nil {
 		dst = obs.AppendTraceJSON(fastjson.Key(dst, "trace"), r.Trace)
 	}
@@ -342,30 +340,6 @@ func AppendResultJSON(dst []byte, r *ResultJSON) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	return append(dst, '}')
-}
-
-func appendPortfolio(dst []byte, p *PortfolioJSON) []byte {
-	dst = append(dst, `{"wins":`...)
-	if p.Wins == nil {
-		dst = append(dst, "null"...)
-	} else {
-		keys := make([]string, 0, len(p.Wins))
-		for k := range p.Wins {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		dst = append(dst, '{')
-		for _, k := range keys {
-			dst = append(fastjson.AppendString(fastjson.Sep(dst), k), ':')
-			dst = strconv.AppendInt(dst, int64(p.Wins[k]), 10)
-		}
-		dst = append(dst, '}')
-	}
-	dst = fastjson.AppendStrings(append(dst, `,"block_winners":`...), p.BlockWinners)
-	dst = strconv.AppendInt(fastjson.Key(dst, "cancelled_conflicts"), p.CancelledConflicts, 10)
-	dst = strconv.AppendInt(fastjson.Key(dst, "shared_clause_exports"), p.SharedClauseExports, 10)
-	dst = strconv.AppendInt(fastjson.Key(dst, "shared_clause_imports"), p.SharedClauseImports, 10)
 	return append(dst, '}')
 }
 

@@ -106,7 +106,6 @@ func FuzzWireCodecs(f *testing.F) {
 		raw := &ResultJSON{
 			Certificate: str,
 			Fingerprint: str,
-			Portfolio:   &PortfolioJSON{Wins: map[string]int{str: 1, "": 2}, BlockWinners: []string{str}},
 			Trace: &obs.TraceJSON{TraceID: str, Spans: []obs.SpanJSON{
 				{ID: str, Parent: str, Name: str, Attrs: map[string]string{str: str, "k": ""}},
 			}},

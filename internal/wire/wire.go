@@ -39,8 +39,13 @@
 //     a 400 bad_request at every tier, including a gateway that could answer
 //     from its cache, never a silent fallback. Retired so far: the encoding
 //     "log" and the portfolio strategies "log", "glue4" and "no-symbreak"
-//     (none ever beat the default on the committed suites). The "encoding"
-//     field itself stays and accepts "onehot".
+//     (none ever beat the default on the committed suites); and strategy
+//     racing (it lost on summed wall time at about 1.8× the CPU, DESIGN
+//     §9), which retires "portfolio" above 1, "share_clauses": true and
+//     "portfolio_strategies" lists of two or more names. The fields
+//     themselves stay: "encoding" accepts "onehot", "portfolio" 0 or 1,
+//     "share_clauses" false, and "portfolio_strategies" one name, which
+//     runs that strategy solo.
 //
 // # Error envelope
 //
@@ -59,7 +64,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 	"repro/internal/rect"
 )
 
@@ -110,16 +114,15 @@ type SolveOptions struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Heuristic skips the exact SAT stage.
 	Heuristic bool `json:"heuristic,omitempty"`
-	// Portfolio races K diverse solver strategies per block (0 keeps the
-	// single-strategy default; servers clamp K to their configured
-	// maximum).
+	// Portfolio is the retired racing size: 0 and 1 (one strategy) are
+	// accepted, anything above is a bad request.
 	Portfolio int `json:"portfolio,omitempty"`
-	// PortfolioStrategies names the racing set explicitly ("canonical"
-	// plus names from portfolio.Names()); empty means a default diverse
-	// set seeded from each block's fingerprint. Setting it implies racing
-	// even when Portfolio is 0.
+	// PortfolioStrategies names the solver strategy (core.Options.Strategy)
+	// as a one-element list: "canonical" or a name from core.Names(). Lists
+	// of two or more names, the retired racing sets, are a bad request.
 	PortfolioStrategies []string `json:"portfolio_strategies,omitempty"`
-	// ShareClauses exchanges short learnt clauses between racers.
+	// ShareClauses is the retired clause-sharing switch: false is
+	// accepted, true is a bad request.
 	ShareClauses bool `json:"share_clauses,omitempty"`
 }
 
@@ -197,18 +200,22 @@ func (o *SolveOptions) Apply(base core.Options) (core.Options, time.Duration, er
 		}
 	}
 	opts.SkipSAT = opts.SkipSAT || o.Heuristic
-	if o.Portfolio > 0 {
-		opts.Portfolio.Size = o.Portfolio
-	}
-	if len(o.PortfolioStrategies) > 0 {
-		// Validate names here so a typo is a 400, not a mid-solve error.
-		if _, err := portfolio.Resolve(portfolio.Canonical(), o.PortfolioStrategies); err != nil {
-			return opts, 0, err
-		}
-		opts.Portfolio.Strategies = o.PortfolioStrategies
+	if o.Portfolio > 1 {
+		return opts, 0, fmt.Errorf("wire: retired option \"portfolio\": %d (strategy racing was removed; 0 or 1 runs one strategy)", o.Portfolio)
 	}
 	if o.ShareClauses {
-		opts.Portfolio.ShareClauses = true
+		return opts, 0, errors.New("wire: retired option \"share_clauses\": true (clause sharing was removed)")
+	}
+	switch len(o.PortfolioStrategies) {
+	case 0:
+	case 1:
+		// Validate the name here so a typo is a 400, not a mid-solve error.
+		if _, err := core.ByName(o.PortfolioStrategies[0]); err != nil {
+			return opts, 0, err
+		}
+		opts.Strategy = o.PortfolioStrategies[0]
+	default:
+		return opts, 0, fmt.Errorf("wire: retired option \"portfolio_strategies\" with %d names (strategy racing was removed; name one strategy)", len(o.PortfolioStrategies))
 	}
 	var timeout time.Duration
 	if o.TimeoutMS > 0 {
@@ -225,43 +232,28 @@ type RectJSON = rect.Indices
 // response and of `ebmf -json` output.
 type ResultJSON struct {
 	// API echoes the wire schema version the result was produced under.
-	API            int            `json:"api,omitempty"`
-	Depth          int            `json:"depth"`
-	Optimal        bool           `json:"optimal"`
-	Certificate    string         `json:"certificate"`
-	RankLB         int            `json:"rank_lb"`
-	FoolingLB      int            `json:"fooling_lb"`
-	HeuristicDepth int            `json:"heuristic_depth"`
-	Blocks         int            `json:"blocks"`
-	TimedOut       bool           `json:"timed_out,omitempty"`
-	Canceled       bool           `json:"canceled,omitempty"`
-	CacheHit       bool           `json:"cache_hit"`
-	SATCalls       int            `json:"sat_calls"`
-	Conflicts      int64          `json:"conflicts"`
-	PackNS         int64          `json:"pack_ns"`
-	SATNS          int64          `json:"sat_ns"`
-	Fingerprint    string         `json:"fingerprint,omitempty"`
-	Portfolio      *PortfolioJSON `json:"portfolio,omitempty"`
+	API            int    `json:"api,omitempty"`
+	Depth          int    `json:"depth"`
+	Optimal        bool   `json:"optimal"`
+	Certificate    string `json:"certificate"`
+	RankLB         int    `json:"rank_lb"`
+	FoolingLB      int    `json:"fooling_lb"`
+	HeuristicDepth int    `json:"heuristic_depth"`
+	Blocks         int    `json:"blocks"`
+	TimedOut       bool   `json:"timed_out,omitempty"`
+	Canceled       bool   `json:"canceled,omitempty"`
+	CacheHit       bool   `json:"cache_hit"`
+	SATCalls       int    `json:"sat_calls"`
+	Conflicts      int64  `json:"conflicts"`
+	PackNS         int64  `json:"pack_ns"`
+	SATNS          int64  `json:"sat_ns"`
+	Fingerprint    string `json:"fingerprint,omitempty"`
 	// Trace carries the serving tier's finished span tree back to the
 	// requester. Attached only when the request arrived with a traceparent
 	// header (a gateway asking for the spans to stitch into its own trace);
 	// gateways strip it before caching or answering clients.
 	Trace     *obs.TraceJSON `json:"trace,omitempty"`
 	Partition []RectJSON     `json:"partition"`
-}
-
-// PortfolioJSON is the wire form of core.PortfolioStats (present only when
-// the solve raced).
-type PortfolioJSON struct {
-	// Wins counts race-round wins per strategy name.
-	Wins map[string]int `json:"wins"`
-	// BlockWinners is the deciding strategy per block, in block order.
-	BlockWinners []string `json:"block_winners"`
-	// CancelledConflicts is the work spent by cancelled racers.
-	CancelledConflicts int64 `json:"cancelled_conflicts"`
-	// SharedClauseExports and SharedClauseImports count exchange traffic.
-	SharedClauseExports int64 `json:"shared_clause_exports"`
-	SharedClauseImports int64 `json:"shared_clause_imports"`
 }
 
 // FromResult converts a solver result to its wire form. fingerprint may be
@@ -278,7 +270,7 @@ func FromResult(res *core.Result, fingerprint string) *ResultJSON {
 // index form: rects becomes the wire partition as is, and res.Partition is
 // not read.
 func FromIndexed(res *core.Result, fingerprint string, rects []RectJSON) *ResultJSON {
-	out := &ResultJSON{
+	return &ResultJSON{
 		API:            V1,
 		Depth:          res.Depth,
 		Optimal:        res.Optimal,
@@ -297,16 +289,6 @@ func FromIndexed(res *core.Result, fingerprint string, rects []RectJSON) *Result
 		Fingerprint:    fingerprint,
 		Partition:      rects,
 	}
-	if res.Portfolio != nil {
-		out.Portfolio = &PortfolioJSON{
-			Wins:                res.Portfolio.Wins,
-			BlockWinners:        res.Portfolio.BlockWinners,
-			CancelledConflicts:  res.Portfolio.LoserConflicts,
-			SharedClauseExports: res.Portfolio.SharedExported,
-			SharedClauseImports: res.Portfolio.SharedImported,
-		}
-	}
-	return out
 }
 
 // Meta is the core provenance a wire result carries, without its partition:

@@ -45,13 +45,6 @@ func TestRoundTripEveryWireType(t *testing.T) {
 		PackNS:         5000,
 		SATNS:          60000,
 		Fingerprint:    "abc123",
-		Portfolio: &PortfolioJSON{
-			Wins:                map[string]int{"canonical": 2, "luby": 1},
-			BlockWinners:        []string{"canonical", "luby"},
-			CancelledConflicts:  99,
-			SharedClauseExports: 3,
-			SharedClauseImports: 4,
-		},
 		Partition: []RectJSON{
 			{Rows: []int{0, 2}, Cols: []int{1}},
 			{Rows: []int{1}, Cols: []int{0, 3}},
@@ -81,7 +74,6 @@ func TestRoundTripEveryWireType(t *testing.T) {
 		{"RectJSON/empty", &RectJSON{Rows: []int{}, Cols: []int{}}},
 		{"ResultJSON/full", fullResult},
 		{"ResultJSON/minimal", &ResultJSON{Depth: 0, Partition: []RectJSON{}}},
-		{"PortfolioJSON", fullResult.Portfolio},
 		{"BatchRequest", &BatchRequest{Requests: []SolveRequest{
 			{Matrix: "1"}, {Rows: [][]int{{1}}},
 		}}},
@@ -114,7 +106,6 @@ func TestUnknownFieldTolerance(t *testing.T) {
 		dst  any
 	}{
 		{"ResultJSON", `{"depth":2,"optimal":true,"partition":[],"future_field":{"a":[1,2]}}`, &ResultJSON{}},
-		{"PortfolioJSON", `{"wins":{"luby":1},"novel_counter":7}`, &PortfolioJSON{}},
 		{"BatchResponse", `{"results":[{"result":null,"error":"x","retry_hint_ms":50}],"page":1}`, &BatchResponse{}},
 		{"ErrorResponse", `{"error":"nope","code":"QUEUE_FULL"}`, &ErrorResponse{}},
 		{"SolveRequest", `{"matrix":"1","priority":"high"}`, &SolveRequest{}},
@@ -201,15 +192,16 @@ func TestParseMatrixForms(t *testing.T) {
 func TestApplyValidatesAndOverlays(t *testing.T) {
 	base := core.DefaultOptions()
 	opts, timeout, err := (&SolveOptions{
-		Trials:    7,
-		Encoding:  "onehot",
-		TimeoutMS: 1500,
-		Portfolio: 3,
+		Trials:              7,
+		Encoding:            "onehot",
+		TimeoutMS:           1500,
+		Portfolio:           1,
+		PortfolioStrategies: []string{"luby"},
 	}).Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Packing.Trials != 7 || opts.Portfolio.Size != 3 || timeout.Milliseconds() != 1500 {
+	if opts.Packing.Trials != 7 || opts.Strategy != "luby" || timeout.Milliseconds() != 1500 {
 		t.Fatalf("overlay lost fields: %+v timeout=%v", opts, timeout)
 	}
 	// Unknown and retired values are errors, from Apply and Validate alike.
@@ -220,6 +212,10 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 		{PortfolioStrategies: []string{"glue4"}},
 		{PortfolioStrategies: []string{"canonical", "no-symbreak"}},
 		{AMO: "ladder"},
+		// Strategy racing's values.
+		{Portfolio: 2},
+		{ShareClauses: true},
+		{PortfolioStrategies: []string{"canonical", "luby"}},
 	} {
 		if _, _, err := o.Apply(base); err == nil {
 			t.Fatalf("%+v accepted by Apply", o)
@@ -228,7 +224,7 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 			t.Fatalf("%+v accepted by Validate", o)
 		}
 	}
-	if err := (&SolveOptions{Encoding: "onehot", AMO: "pairwise", PortfolioStrategies: []string{"luby"}}).Validate(); err != nil {
+	if err := (&SolveOptions{Encoding: "onehot", AMO: "pairwise", Portfolio: 1, PortfolioStrategies: []string{"luby"}}).Validate(); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	if err := (*SolveOptions)(nil).Validate(); err != nil {

@@ -4,7 +4,8 @@
 # runner never collide), solve the paper's Fig. 1b instance, resubmit a
 # row/column permutation of it, assert the permutation comes back with the
 # same depth as a cache hit (the canonical-fingerprint + singleflight
-# contract), and exercise the portfolio racing knobs end to end. Then the
+# contract), and run a named solver strategy end to end (the retired racing
+# values must be 400s). Then the
 # crash-recovery phase: kill -9 the daemon, corrupt the durable store's WAL
 # (flip a byte in the last record, append a garbage tail), restart on the
 # same store directory and assert the permuted instance is still a cache
@@ -85,33 +86,33 @@ FP1=$(sed -n 's/.*"fingerprint":"\([0-9a-f]*\)".*/\1/p' <<<"$R1")
 FP2=$(sed -n 's/.*"fingerprint":"\([0-9a-f]*\)".*/\1/p' <<<"$R2")
 [ -n "$FP1" ] && [ "$FP1" = "$FP2" ] || { echo "FAIL: fingerprints differ"; exit 1; }
 
-# Portfolio racing over the wire, on a matrix whose optimality genuinely
-# needs the SAT stage (8×8, rank 7 < fooling-unreachable depth 8) so the
-# race actually runs and the response must carry racing stats.
+# A named strategy over the wire, on a matrix whose optimality genuinely
+# needs the SAT stage (8×8, rank 7 < fooling-unreachable depth 8), so the
+# strategy actually runs its narrowing loop.
 GAP8='10110101\n01101110\n11010011\n00111101\n11101010\n01011101\n10110110\n01101011'
-R3=$(curl -sf -X POST -d "{\"matrix\":\"$GAP8\",\"options\":{\"portfolio\":3,\"share_clauses\":true}}" "http://$ADDR/v1/solve")
-echo "raced:    $R3"
-grep -q '"depth":8' <<<"$R3" || { echo "FAIL: raced solve depth != 8"; exit 1; }
-grep -q '"optimal":true' <<<"$R3" || { echo "FAIL: raced solve not optimal"; exit 1; }
-grep -q '"portfolio":{' <<<"$R3" || { echo "FAIL: raced solve carries no portfolio stats"; exit 1; }
-grep -q '"wins":{"[a-z-]*":' <<<"$R3" || { echo "FAIL: raced solve recorded no strategy wins"; exit 1; }
+R3=$(curl -sf -X POST -d "{\"matrix\":\"$GAP8\",\"options\":{\"portfolio_strategies\":[\"luby\"]}}" "http://$ADDR/v1/solve")
+echo "luby:     $R3"
+grep -q '"depth":8' <<<"$R3" || { echo "FAIL: luby solve depth != 8"; exit 1; }
+grep -q '"optimal":true' <<<"$R3" || { echo "FAIL: luby solve not optimal"; exit 1; }
 
-# An unknown strategy must be a 400, not a 500.
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-  -d '{"matrix":"11\n01","options":{"portfolio_strategies":["bogus"]}}' "http://$ADDR/v1/solve")
-[ "$CODE" = "400" ] || { echo "FAIL: bogus strategy returned $CODE, want 400"; exit 1; }
+# Strategy racing is retired: asking for a race must be a 400, and so must
+# an unknown strategy — never a 500 or a silent solo run.
+for OPTS in '{"portfolio":3}' '{"portfolio_strategies":["bogus"]}'; do
+  CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    -d "{\"matrix\":\"11\\n01\",\"options\":$OPTS}" "http://$ADDR/v1/solve")
+  [ "$CODE" = "400" ] || { echo "FAIL: options $OPTS returned $CODE, want 400"; exit 1; }
+done
 
 METRICS=$(curl -sf "http://$ADDR/v1/metrics")
 grep -q '"hits":1' <<<"$METRICS" || { echo "FAIL: metrics report no cache hit"; exit 1; }
-grep -q '"portfolio"' <<<"$METRICS" || { echo "FAIL: metrics missing portfolio section"; exit 1; }
 grep -q '"p50_ns":' <<<"$METRICS" || { echo "FAIL: metrics missing latency percentiles"; exit 1; }
 grep -q '"queue_wait":{' <<<"$METRICS" || { echo "FAIL: metrics missing queue wait histogram"; exit 1; }
 
 # Observability: solves are traced by default; the debug endpoint must hold
-# span trees (per-block, per-stage, portfolio rounds) plus progress samples
-# from the raced GAP8 solve, and a cached solve must be marked as a hit.
+# span trees (per-block, per-stage, depth probes) plus progress samples
+# from the GAP8 solve, and a cached solve must be marked as a hit.
 TRACES=$(curl -sf "http://$ADDR/v1/debug/traces")
-for span in solve preprocess decompose block pack round; do
+for span in solve preprocess decompose block pack probe; do
   grep -q "\"name\":\"$span\"" <<<"$TRACES" || { echo "FAIL: traces missing $span span"; echo "$TRACES"; exit 1; }
 done
 grep -q '"t_us":' <<<"$TRACES" || { echo "FAIL: traces carry no solver progress samples"; exit 1; }
@@ -349,4 +350,4 @@ kill $HOOKPID 2>/dev/null || true
 
 trap - EXIT
 rm -rf "$STORE" "$JOURNAL"
-echo "PASS: server smoke (free port, cold solve, permuted cache hit, portfolio, traces, jobs+SSE, cancel, quota codes, degrade, crash recovery, durable jobs kill -9 replay, webhook at-least-once, drain)"
+echo "PASS: server smoke (free port, cold solve, permuted cache hit, named strategy, traces, jobs+SSE, cancel, quota codes, degrade, crash recovery, durable jobs kill -9 replay, webhook at-least-once, drain)"

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
@@ -78,6 +81,33 @@ func TestFlagErrors(t *testing.T) {
 // and proves Fig. 1b's optimum by SAT (the fooling bound is off).
 func TestSingleStrategySolves(t *testing.T) {
 	code, stdout, stderr := runEbmf(t, fig1b, "-strategies", "luby", "-fooling", "0", "-q")
+	if code != exitOptimal || strings.TrimSpace(stdout) != "5" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 0 and depth 5", code, stdout, stderr)
+	}
+}
+
+// TestServerBadEventFramePolls: an event frame the CLI cannot decode is a
+// dropped stream, like a stream that ends early — the job is polled to its
+// terminal snapshot instead of the run failing.
+func TestServerBadEventFramePolls(t *testing.T) {
+	done := `{"api":1,"id":"j-1","state":"done","tenant":"default","result":` +
+		`{"depth":5,"optimal":true,"certificate":"fooling-set","partition":[]}}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/jobs":
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{"api":1,"id":"j-1","state":"queued","tenant":"default"}`)
+		case "/v1/jobs/j-1/events":
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "id: 1\nevent: status\ndata: {\"api\":1,\"seq\":1,\"state\n\n")
+		case "/v1/jobs/j-1":
+			io.WriteString(w, done)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	code, stdout, stderr := runEbmf(t, fig1b, "-server", ts.URL, "-q")
 	if code != exitOptimal || strings.TrimSpace(stdout) != "5" {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 0 and depth 5", code, stdout, stderr)
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -38,15 +37,7 @@ func runRemote(serverURL, apiKey string, degrade bool, callback string, m *ebmf.
 	if err != nil {
 		return fail(err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, serverURL+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		return fail(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if apiKey != "" {
-		hreq.Header.Set("Authorization", "Bearer "+apiKey)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
+	resp, err := call(http.MethodPost, serverURL+"/v1/jobs", apiKey, payload)
 	if err != nil {
 		return fail(err)
 	}
@@ -70,17 +61,15 @@ func runRemote(serverURL, apiKey string, degrade bool, callback string, m *ebmf.
 	return printRemote(m, final, jsonOut, quiet)
 }
 
+// maxEventFrame caps one event frame read from the server.
+const maxEventFrame = 1 << 20
+
 // streamJob follows GET /v1/jobs/{id}/events until the terminal frame,
-// echoing progress to stderr, and falls back to polling if the stream drops.
+// echoing progress to stderr. A stream that ends, tears or carries a frame
+// it cannot decode before the terminal frame is a dropped stream: the job
+// itself is still running server-side, so it is polled out instead.
 func streamJob(serverURL, apiKey, id string, quiet bool) (*wire.JobJSON, error) {
-	hreq, err := http.NewRequest(http.MethodGet, serverURL+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return nil, err
-	}
-	if apiKey != "" {
-		hreq.Header.Set("Authorization", "Bearer "+apiKey)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
+	resp, err := call(http.MethodGet, serverURL+"/v1/jobs/"+id+"/events", apiKey, nil)
 	if err != nil {
 		return nil, fmt.Errorf("events: %w", err)
 	}
@@ -89,16 +78,18 @@ func streamJob(serverURL, apiKey, id string, quiet bool) (*wire.JobJSON, error) 
 		body, _ := io.ReadAll(resp.Body)
 		return nil, fmt.Errorf("events: %s: %s", resp.Status, errorMessage(body))
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue
-		}
+	rd := wire.NewEventReader(resp.Body, maxEventFrame)
+	for {
+		f, err := rd.Next()
 		var ev wire.JobEvent
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			return nil, fmt.Errorf("events: bad frame: %v", err)
+		if err == nil {
+			err = json.Unmarshal(f.Data, &ev)
+		}
+		if err != nil {
+			if !quiet {
+				fmt.Fprintf(os.Stderr, "ebmf: event stream dropped (%v), polling\n", err)
+			}
+			return pollJob(serverURL, apiKey, id)
 		}
 		switch {
 		case ev.Job != nil:
@@ -111,24 +102,11 @@ func streamJob(serverURL, apiKey, id string, quiet bool) (*wire.JobJSON, error) 
 			fmt.Fprintf(os.Stderr, "ebmf: job %s\n", ev.State)
 		}
 	}
-	// The stream dropped without a terminal frame (proxy restart, network
-	// blip): the job itself is still running server-side, so poll it out.
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "ebmf: event stream dropped, polling\n")
-	}
-	return pollJob(serverURL, apiKey, id)
 }
 
 func pollJob(serverURL, apiKey, id string) (*wire.JobJSON, error) {
 	for {
-		hreq, err := http.NewRequest(http.MethodGet, serverURL+"/v1/jobs/"+id, nil)
-		if err != nil {
-			return nil, err
-		}
-		if apiKey != "" {
-			hreq.Header.Set("Authorization", "Bearer "+apiKey)
-		}
-		resp, err := http.DefaultClient.Do(hreq)
+		resp, err := call(http.MethodGet, serverURL+"/v1/jobs/"+id, apiKey, nil)
 		if err != nil {
 			return nil, fmt.Errorf("poll: %w", err)
 		}
@@ -146,6 +124,22 @@ func pollJob(serverURL, apiKey, id string) (*wire.JobJSON, error) {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
+}
+
+// call sends one request to the server, authenticated when apiKey is set;
+// a non-nil body is sent as JSON.
+func call(method, url, apiKey string, body []byte) (*http.Response, error) {
+	hreq, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
+	if apiKey != "" {
+		hreq.Header.Set("Authorization", "Bearer "+apiKey)
+	}
+	return http.DefaultClient.Do(hreq)
 }
 
 // printRemote renders the terminal job under the local output flags and maps

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,12 +24,13 @@ import (
 //     per backend), together with the solveItem needed to lift canonical
 //     results back onto the client's matrix.
 //
-// The event stream is a byte-level SSE passthrough: status and progress
-// frames relay verbatim (nothing in them is backend-specific), while
-// terminal "done" frames are decoded, their job ID rewritten and their
-// result lifted from canonical space, then re-encoded. Closing the client
-// connection closes the proxied backend request, so cancel_on_disconnect
-// semantics propagate through the gateway unchanged.
+// The event stream is relayed frame by frame through wire's event codec:
+// status and progress frames, chosen by their event name, relay verbatim
+// (nothing in them is backend-specific), while the terminal "done" frame is
+// decoded, its job ID rewritten and its result lifted from canonical space,
+// then re-encoded. Closing the client connection closes the proxied backend
+// request, so cancel_on_disconnect semantics propagate through the gateway
+// unchanged.
 
 // jobEntry is one proxied job's route: where it lives, how to lift its
 // result, and everything needed to re-home it — the canonical submit
@@ -374,9 +373,10 @@ func (g *Gateway) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	g.proxyJobCall(w, r, http.MethodDelete)
 }
 
-// handleJobEvents proxies the SSE stream from the job's home backend,
-// frame by frame: live passthrough for status/progress, decode-and-lift for
-// the terminal frame. dialJob forwards the client's Last-Event-ID, so
+// handleJobEvents proxies the SSE stream from the job's home backend. A
+// frame the backend tore (its stream ended inside it) or sent over
+// MaxRespBytes ends the relay unsent, so the client polls instead of reading
+// a truncated snapshot. dialJob forwards the client's Last-Event-ID, so
 // resumption works through the proxy.
 func (g *Gateway) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	gwID, e, resp := g.dialJob(w, r, http.MethodGet, "/events")
@@ -397,61 +397,33 @@ func (g *Gateway) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 
-	// Relay frame by frame. A frame is a run of non-empty lines closed by a
-	// blank line; only "data:" lines of terminal frames need rewriting.
-	br := bufio.NewReader(resp.Body)
-	var frame []string
-	flushFrame := func() bool {
-		if len(frame) == 0 {
-			return true
-		}
-		terminal := false
-		for i, line := range frame {
-			data, ok := strings.CutPrefix(line, "data: ")
-			if !ok {
-				continue
-			}
-			var ev wire.JobEvent
-			if err := json.Unmarshal([]byte(data), &ev); err != nil || ev.Job == nil {
-				continue // status/progress frames pass through untouched
-			}
-			terminal = true
-			if err := e.rewriteJob(gwID, ev.Job); err != nil {
-				// Lifting failed mid-stream: surface it as the stream's
-				// terminal event rather than a silent truncation.
-				ev.Job.State = wire.JobFailed
-				ev.Job.Result = nil
-				ev.Job.Error = err.Error()
-			}
-			out, err := json.Marshal(&ev)
-			if err != nil {
-				return false
-			}
-			frame[i] = "data: " + string(out)
-		}
-		for _, line := range frame {
-			if _, err := io.WriteString(w, line+"\n"); err != nil {
-				return false
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return false
-		}
-		rc.Flush()
-		frame = frame[:0]
-		return !terminal
-	}
+	rd := wire.NewEventReader(resp.Body, int(g.cfg.MaxRespBytes))
 	for {
-		line, err := br.ReadString('\n')
-		line = strings.TrimRight(line, "\r\n")
-		if line != "" {
-			frame = append(frame, line)
-		} else if !flushFrame() {
-			return
-		}
+		f, err := rd.Next()
 		if err != nil {
-			flushFrame() // backend closed mid-frame: relay what arrived
 			return
 		}
+		if f.Event != wire.EventDone {
+			if _, err := w.Write(f.Raw); err != nil {
+				return
+			}
+			rc.Flush()
+			continue
+		}
+		var ev wire.JobEvent
+		if json.Unmarshal(f.Data, &ev) != nil || ev.Job == nil {
+			return // a done frame without a snapshot: the client polls
+		}
+		if err := e.rewriteJob(gwID, ev.Job); err != nil {
+			// Lifting failed mid-stream: surface it as the stream's
+			// terminal event rather than a silent truncation.
+			ev.Job.State = wire.JobFailed
+			ev.Job.Result = nil
+			ev.Job.Error = err.Error()
+		}
+		if wire.WriteEvent(w, &ev) == nil {
+			rc.Flush()
+		}
+		return
 	}
 }

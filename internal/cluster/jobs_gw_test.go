@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -175,8 +176,10 @@ func TestGatewayJobLifecycleLiftsAndSticks(t *testing.T) {
 	}
 }
 
-// streamGWTerminal reads GET /v1/jobs/{id}/events until the terminal frame.
-func streamGWTerminal(t *testing.T, base, id, key string) *wire.JobEvent {
+// streamGW reads GET /v1/jobs/{id}/events, resuming after lastID when it is
+// set, and returns the stream's events in order, failing unless the stream
+// ends on a done frame.
+func streamGW(t *testing.T, base, id, key string, lastID int64) []*wire.JobEvent {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -184,6 +187,9 @@ func streamGWTerminal(t *testing.T, base, id, key string) *wire.JobEvent {
 	}
 	if key != "" {
 		req.Header.Set("Authorization", "Bearer "+key)
+	}
+	if lastID > 0 {
+		req.Header.Set("Last-Event-ID", strconv.FormatInt(lastID, 10))
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -196,29 +202,33 @@ func streamGWTerminal(t *testing.T, base, id, key string) *wire.JobEvent {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content-type %q", ct)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lastSeq := int64(-1)
-	for sc.Scan() {
-		line := sc.Text()
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			continue
+	var evs []*wire.JobEvent
+	rd := wire.NewEventReader(resp.Body, 1<<20)
+	for len(evs) == 0 || evs[len(evs)-1].Job == nil {
+		f, err := rd.Next()
+		if err != nil {
+			t.Fatalf("stream ended without a terminal frame: %v", err)
 		}
-		var ev wire.JobEvent
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("bad event JSON: %v\n%s", err, data)
+		ev := new(wire.JobEvent)
+		if err := json.Unmarshal(f.Data, ev); err != nil {
+			t.Fatalf("bad event JSON: %v\n%s", err, f.Data)
 		}
-		if ev.Seq <= lastSeq {
-			t.Fatalf("event seq went backwards: %d after %d", ev.Seq, lastSeq)
+		if (f.Event == wire.EventDone) != (ev.Job != nil) || f.ID != strconv.FormatInt(ev.Seq, 10) {
+			t.Fatalf("frame id %q event %q carries %+v", f.ID, f.Event, ev)
 		}
-		lastSeq = ev.Seq
-		if ev.Job != nil {
-			return &ev
+		if len(evs) > 0 && ev.Seq <= evs[len(evs)-1].Seq {
+			t.Fatalf("event seq went backwards: %d after %d", ev.Seq, evs[len(evs)-1].Seq)
 		}
+		evs = append(evs, ev)
 	}
-	t.Fatalf("stream ended without a terminal frame: %v", sc.Err())
-	return nil
+	return evs
+}
+
+// streamGWTerminal reads GET /v1/jobs/{id}/events until the terminal frame.
+func streamGWTerminal(t *testing.T, base, id, key string) *wire.JobEvent {
+	t.Helper()
+	evs := streamGW(t, base, id, key, 0)
+	return evs[len(evs)-1]
 }
 
 // TestGatewayJobEventsStreamLive pins that the gateway relays SSE frames as
@@ -241,15 +251,8 @@ func TestGatewayJobEventsStreamLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
-	br := bufio.NewReader(stream.Body)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("stream ended before its first data frame: %v", err)
-		}
-		if strings.HasPrefix(line, "data: ") {
-			break
-		}
+	if _, err := wire.NewEventReader(stream.Body, 1<<20).Next(); err != nil {
+		t.Fatalf("stream ended before its first frame: %v", err)
 	}
 	gr, gb := jobCall(t, http.MethodGet, tc.ts.URL+"/v1/jobs/"+id, "", nil)
 	if gr.StatusCode != http.StatusOK {
@@ -262,6 +265,86 @@ func TestGatewayJobEventsStreamLive(t *testing.T) {
 		t.Fatalf("cancel: status %d: %s", dr.StatusCode, db)
 	}
 	waitGWJob(t, tc.ts.URL, id, "")
+}
+
+// TestGatewayJobEventsResumeAfterTerminal: the gateway forwards
+// Last-Event-ID, so a stream resumed at or past a finished job's terminal
+// event carries exactly one frame, the lifted done frame.
+func TestGatewayJobEventsResumeAfterTerminal(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{})
+	resp, body := jobCall(t, http.MethodPost, tc.ts.URL+"/v1/jobs", "", wire.JobRequest{Matrix: fig1b})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	id := decodeGWJob(t, body).ID
+	waitGWJob(t, tc.ts.URL, id, "")
+	done := streamGWTerminal(t, tc.ts.URL, id, "")
+	for _, lastID := range []int64{done.Seq, done.Seq + 5} {
+		evs := streamGW(t, tc.ts.URL, id, "", lastID)
+		if last := evs[len(evs)-1]; len(evs) != 1 || last.Seq != done.Seq || last.Job.ID != id {
+			t.Fatalf("Last-Event-ID %d: %d frames ending in seq %d under %q; want only the done frame (seq %d) under %q",
+				lastID, len(evs), last.Seq, last.Job.ID, done.Seq, id)
+		}
+	}
+}
+
+// fakeJobGateway fronts one fake backend that accepts every job as j-1 and
+// answers its event stream with stream, then closes it. It returns the
+// gateway's URL and the ID the gateway minted for one submitted job.
+func fakeJobGateway(t *testing.T, gcfg Config, stream string) (base, id string) {
+	t.Helper()
+	bts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/jobs":
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{"api":1,"id":"j-1","state":"queued","tenant":"default"}`)
+		case "/v1/jobs/j-1/events":
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, stream)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(bts.Close)
+	gcfg.Backends, gcfg.ProbeInterval, gcfg.HedgeAfter = []string{bts.URL}, -1, -1
+	gw, err := New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	resp, body := jobCall(t, http.MethodPost, ts.URL+"/v1/jobs", "", wire.JobRequest{Matrix: fig1b})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	return ts.URL, decodeGWJob(t, body).ID
+}
+
+// TestGatewayJobEventsDropsTornFrame: a backend stream that ends inside the
+// done frame reaches the client as the whole frames before it and nothing
+// more — no truncated snapshot under the backend's own job ID — so the
+// client falls back to polling.
+func TestGatewayJobEventsDropsTornFrame(t *testing.T) {
+	status := "id: 1\nevent: status\ndata: {\"api\":1,\"seq\":1,\"state\":\"queued\"}\n\n"
+	torn := "id: 2\nevent: done\ndata: {\"api\":1,\"seq\":2,\"state\":\"done\",\"job\":{\"api\":1,\"id\":\"j-1\",\"sta"
+	base, id := fakeJobGateway(t, Config{}, status+torn)
+	if resp, body := jobCall(t, http.MethodGet, base+"/v1/jobs/"+id+"/events", "", nil); string(body) != status {
+		t.Fatalf("status %d, client got %q; want only %q", resp.StatusCode, body, status)
+	}
+}
+
+// TestGatewayJobEventsFrameOverCapEndsRelay: a backend frame larger than
+// MaxRespBytes ends the relay instead of being buffered whole; the frames
+// before it arrive, the frames after it do not.
+func TestGatewayJobEventsFrameOverCapEndsRelay(t *testing.T) {
+	status := "id: 1\nevent: status\ndata: {\"api\":1,\"seq\":1,\"state\":\"queued\"}\n\n"
+	big := "id: 2\nevent: status\ndata: {\"api\":1,\"seq\":2,\"state\":\"" + strings.Repeat("x", 16<<10) + "\"}\n\n"
+	done := "id: 3\nevent: done\ndata: {\"api\":1,\"seq\":3,\"state\":\"done\",\"job\":{\"api\":1,\"id\":\"j-1\",\"state\":\"done\"}}\n\n"
+	base, id := fakeJobGateway(t, Config{MaxRespBytes: 4 << 10}, status+big+done)
+	if resp, body := jobCall(t, http.MethodGet, base+"/v1/jobs/"+id+"/events", "", nil); string(body) != status {
+		t.Fatalf("status %d, client got %d bytes starting %.200q; want only %q", resp.StatusCode, len(body), body, status)
+	}
 }
 
 func TestGatewayJobSubmitFailsOverWhenHomeDown(t *testing.T) {

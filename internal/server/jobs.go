@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -94,10 +92,9 @@ func (r *jobRegistry) stopJanitor() {
 	r.janitorStop = nil
 }
 
-// jobEventRing caps the per-job replay buffer. Progress events beyond it
-// age out oldest-first; late subscribers still see every state transition
-// they need because the terminal snapshot is delivered from the job, not
-// the ring.
+// jobEventRing caps the per-job event ring. Progress events beyond it age
+// out oldest-first; the terminal event is always the newest, so every
+// watcher still ends on it.
 const jobEventRing = 256
 
 // job is one async solve. Mutable state sits behind mu; the runner
@@ -121,32 +118,22 @@ type job struct {
 	result   *wire.ResultJSON
 	errMsg   string
 
-	seq      int64            // last event sequence number issued
-	events   []wire.JobEvent  // replay ring, oldest first
-	subs     map[*jobSub]bool // live /events watchers
+	seq      int64           // last event sequence number issued
+	events   []wire.JobEvent // the event ring, oldest first
+	wake     chan struct{}   // closed by the next publish; nil until a watcher waits
 	watchers int
-	done     chan struct{} // closed on terminal transition
 }
 
-// jobSub is one /events subscriber: a buffered live feed. A slow consumer
-// drops progress events (the channel is full) but never the terminal
-// snapshot — that is read from the job after done closes.
-type jobSub struct {
-	ch chan wire.JobEvent
-}
-
-func (r *jobRegistry) newJob(t *tenant, cancelOnDisconnect bool, cancel context.CancelFunc) *job {
-	return r.insert("", t, cancelOnDisconnect, cancel)
-}
-
-// insert registers a job under id — freshly minted when empty (the normal
-// submit path), or a journaled ID being restored after a restart so clients
-// polling it keep working. A restore colliding with a live entry yields the
-// existing job (replay is idempotent).
-func (r *jobRegistry) insert(id string, t *tenant, cancelOnDisconnect bool, cancel context.CancelFunc) *job {
+// insert registers a queued job — lifetime context, cancel, callback and
+// first queued event — under id: freshly minted when empty (a submit), or a
+// journaled ID restored after a restart and marked recovered. A restore
+// colliding with a live entry yields the existing job (replay is
+// idempotent).
+func (r *jobRegistry) insert(id string, t *tenant, cancelOnDisconnect bool, callback string) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if id == "" {
+	recovered := id != ""
+	if !recovered {
 		for {
 			id = wire.NewJobID("j-")
 			if _, taken := r.jobs[id]; !taken {
@@ -156,16 +143,19 @@ func (r *jobRegistry) insert(id string, t *tenant, cancelOnDisconnect bool, canc
 	} else if existing := r.jobs[id]; existing != nil {
 		return existing
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		id:                 id,
 		tenant:             t,
+		lifetime:           ctx,
 		cancel:             cancel,
 		cancelOnDisconnect: cancelOnDisconnect,
+		callback:           callback,
+		recovered:          recovered,
 		state:              wire.JobQueued,
 		created:            r.now(),
-		subs:               make(map[*jobSub]bool),
-		done:               make(chan struct{}),
 	}
+	j.publishLocked(wire.JobEvent{State: wire.JobQueued}) // j is not shared yet
 	r.jobs[j.id] = j
 	r.evictLocked()
 	return j
@@ -261,8 +251,8 @@ func (j *job) snapshotLocked() *wire.JobJSON {
 	return out
 }
 
-// publishLocked appends an event to the ring and fans it out to live
-// subscribers. Callers hold j.mu.
+// publishLocked appends an event to the ring and wakes every waiting
+// watcher. Callers hold j.mu.
 func (j *job) publishLocked(ev wire.JobEvent) {
 	j.seq++
 	ev.API = wire.V1
@@ -271,11 +261,9 @@ func (j *job) publishLocked(ev wire.JobEvent) {
 		j.events = j.events[1:]
 	}
 	j.events = append(j.events, ev)
-	for sub := range j.subs {
-		select {
-		case sub.ch <- ev:
-		default: // slow consumer: drop; the ring and done-snapshot recover
-		}
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
@@ -304,8 +292,8 @@ func (j *job) setRunning() bool {
 	return true
 }
 
-// finish moves the job to a terminal state, publishes the terminal event
-// and wakes every watcher. Only the first terminal transition wins.
+// finish moves the job to a terminal state and publishes the terminal
+// event. Only the first terminal transition wins.
 func (j *job) finish(state string, res *wire.ResultJSON, errMsg string, degraded bool) bool {
 	j.mu.Lock()
 	if wire.JobTerminal(j.state) {
@@ -319,37 +307,49 @@ func (j *job) finish(state string, res *wire.ResultJSON, errMsg string, degraded
 	j.finished = time.Now()
 	j.publishLocked(wire.JobEvent{State: state, Job: j.snapshotLocked()})
 	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
-// subscribe registers an /events watcher and returns the replay of events
-// after seq (0 = from the start) plus the live feed.
-func (j *job) subscribe(after int64) (replay []wire.JobEvent, sub *jobSub) {
-	sub = &jobSub{ch: make(chan wire.JobEvent, 64)}
+// eventsAfter appends to buf the events after seq after. While the job is
+// live it also returns the channel the next publish closes; once the job is
+// terminal that channel is nil and the batch ends on the terminal event —
+// for a watcher already past it, the batch is that event alone, so every
+// stream ends with a done frame.
+func (j *job) eventsAfter(after int64, buf []wire.JobEvent) ([]wire.JobEvent, <-chan struct{}) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	for _, ev := range j.events {
 		if ev.Seq > after {
-			replay = append(replay, ev)
+			buf = append(buf, ev)
 		}
 	}
-	j.subs[sub] = true
-	j.watchers++
-	j.mu.Unlock()
-	return replay, sub
+	if wire.JobTerminal(j.state) {
+		if len(buf) == 0 {
+			buf = append(buf, j.events[len(j.events)-1])
+		}
+		return buf, nil
+	}
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return buf, j.wake
 }
 
-// unsubscribe drops a watcher. When the last watcher of a
-// cancel_on_disconnect job leaves before the job finished, the job is
-// canceled — the client that wanted the stream is gone.
-func (j *job) unsubscribe(sub *jobSub) {
+// watch counts an /events watcher until unwatch runs. When the last
+// watcher of a cancel_on_disconnect job leaves before the job finished, the
+// job is canceled — the client that wanted the stream is gone.
+func (j *job) watch() (unwatch func()) {
 	j.mu.Lock()
-	delete(j.subs, sub)
-	j.watchers--
-	cancelNow := j.watchers == 0 && j.cancelOnDisconnect && !wire.JobTerminal(j.state)
+	j.watchers++
 	j.mu.Unlock()
-	if cancelNow {
-		j.cancel()
+	return func() {
+		j.mu.Lock()
+		j.watchers--
+		cancelNow := j.watchers == 0 && j.cancelOnDisconnect && !wire.JobTerminal(j.state)
+		j.mu.Unlock()
+		if cancelNow {
+			j.cancel()
+		}
 	}
 }
 
@@ -425,18 +425,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// newJob creates the registry entry with its cancelable lifetime context
-// already wired into j.cancel, and journals the accepted submission — the
-// record hits the journal before the 202 goes out, so an accepted job is
-// never forgotten by a crash.
+// newJob registers the queued job and journals the accepted submission —
+// the record hits the journal before the 202 goes out, so an accepted job
+// is never forgotten by a crash.
 func (s *Server) newJob(t *tenant, req *wire.JobRequest, m *bitmat.Matrix) *job {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := s.jobs.newJob(t, req.CancelOnDisconnect, cancel)
-	j.callback = req.CallbackURL
-	j.mu.Lock()
-	j.lifetime = ctx
-	j.publishLocked(wire.JobEvent{State: wire.JobQueued})
-	j.mu.Unlock()
+	j := s.jobs.insert("", t, req.CancelOnDisconnect, req.CallbackURL)
 	s.journalSubmit(j, req, m)
 	return j
 }
@@ -575,9 +568,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
-// handleJobEvents answers GET /v1/jobs/{id}/events with an SSE stream:
-// replayed history (resumable via Last-Event-ID), live status/progress
-// events, and a final terminal snapshot, after which the stream closes.
+// handleJobEvents answers GET /v1/jobs/{id}/events with an SSE stream: the
+// events after Last-Event-ID (0 = from the start), then live status and
+// progress events, each batch in one flush, ending with the terminal
+// snapshot, after which the stream closes.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(w, r)
 	if !ok {
@@ -585,95 +579,34 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := http.NewResponseController(w)
 	s.met.jobStreams.Add(1)
-
-	after, _ := strconv.ParseInt(r.Header.Get("Last-Event-ID"), 10, 64)
-	replay, sub := j.subscribe(after)
-	defer j.unsubscribe(sub)
+	defer j.watch()()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer SSE
 	w.WriteHeader(http.StatusOK)
 
-	var last int64
-	write := func(ev wire.JobEvent) bool {
-		if ev.Seq <= last {
-			return true
-		}
-		last = ev.Seq
-		if err := writeSSE(w, ev); err != nil {
-			return false
-		}
-		rc.Flush()
-		return true
-	}
-	for _, ev := range replay {
-		if !write(ev) {
-			return
-		}
-	}
+	after, _ := strconv.ParseInt(r.Header.Get("Last-Event-ID"), 10, 64)
+	var batch []wire.JobEvent
 	for {
-		select {
-		case ev := <-sub.ch:
-			if !write(ev) {
+		var wake <-chan struct{}
+		batch, wake = j.eventsAfter(after, batch[:0])
+		for i := range batch {
+			if wire.WriteEvent(w, &batch[i]) != nil {
 				return
 			}
-			if ev.Job != nil {
-				return // terminal event delivered live
-			}
-		case <-j.done:
-			// Drain anything still buffered, then deliver the terminal tail
-			// from the ring — a slow consumer may have dropped live events,
-			// but the terminal snapshot must always arrive.
-			for {
-				select {
-				case ev := <-sub.ch:
-					if !write(ev) {
-						return
-					}
-					if ev.Job != nil {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			j.mu.Lock()
-			tail := make([]wire.JobEvent, 0, 2)
-			for _, ev := range j.events {
-				if ev.Seq > last {
-					tail = append(tail, ev)
-				}
-			}
-			j.mu.Unlock()
-			for _, ev := range tail {
-				if !write(ev) {
-					return
-				}
-			}
-			return
+		}
+		if len(batch) > 0 {
+			rc.Flush()
+			after = batch[len(batch)-1].Seq
+		}
+		if wake == nil {
+			return // the terminal event is written
+		}
+		select {
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-// writeSSE emits one event in text/event-stream framing: the sequence as
-// id (resumption via Last-Event-ID), the event name from the payload
-// shape, the JSON-encoded JobEvent as data.
-func writeSSE(w http.ResponseWriter, ev wire.JobEvent) error {
-	name := wire.EventStatus
-	switch {
-	case ev.Job != nil:
-		name = wire.EventDone
-	case ev.Progress != nil:
-		name = wire.EventProgress
-	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, name, data)
-	return err
 }

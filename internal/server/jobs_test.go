@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -174,52 +176,15 @@ func TestJobSubmitRejectsUnknownAPI(t *testing.T) {
 	}
 }
 
-// sseFrame is one parsed text/event-stream event.
+// sseFrame is one event read from a job's event stream.
 type sseFrame struct {
 	id    string
 	name  string
 	event wire.JobEvent
 }
 
-// readSSE consumes an SSE body until the stream closes or a terminal (done)
-// event arrives, returning the frames in order.
-func readSSE(t *testing.T, body *bufio.Scanner) []sseFrame {
-	t.Helper()
-	var frames []sseFrame
-	var cur sseFrame
-	var data string
-	flush := func() {
-		if data == "" {
-			return
-		}
-		if err := json.Unmarshal([]byte(data), &cur.event); err != nil {
-			t.Fatalf("bad SSE data %q: %v", data, err)
-		}
-		frames = append(frames, cur)
-		cur, data = sseFrame{}, ""
-	}
-	for body.Scan() {
-		line := body.Text()
-		switch {
-		case line == "":
-			flush()
-			if len(frames) > 0 && frames[len(frames)-1].event.Job != nil {
-				return frames
-			}
-		case strings.HasPrefix(line, "id: "):
-			cur.id = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "event: "):
-			cur.name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		}
-	}
-	flush()
-	return frames
-}
-
 // streamEvents opens GET /v1/jobs/{id}/events (optionally resuming after
-// lastID) and reads frames until the terminal event.
+// lastID) and reads frames until the terminal event or the stream's end.
 func streamEvents(t *testing.T, ctx context.Context, url, id string, lastID int64) []sseFrame {
 	t.Helper()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/jobs/"+id+"/events", nil)
@@ -240,7 +205,23 @@ func streamEvents(t *testing.T, ctx context.Context, url, id string, lastID int6
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content-type %q", ct)
 	}
-	return readSSE(t, bufio.NewScanner(resp.Body))
+	var frames []sseFrame
+	rd := wire.NewEventReader(resp.Body, 1<<20)
+	for len(frames) == 0 || frames[len(frames)-1].event.Job == nil {
+		f, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("events: %v", err)
+		}
+		cur := sseFrame{id: f.ID, name: f.Event}
+		if err := json.Unmarshal(f.Data, &cur.event); err != nil {
+			t.Fatalf("bad SSE data %q: %v", f.Data, err)
+		}
+		frames = append(frames, cur)
+	}
+	return frames
 }
 
 // TestJobEventsStream covers the anytime-result contract: the SSE stream
@@ -330,6 +311,97 @@ func TestJobEventsStream(t *testing.T) {
 	}
 }
 
+// TestJobEventsResumeAfterTerminal: a finished job's stream resumed just
+// before, at or past its terminal event carries exactly one frame, the done
+// frame, and never replays the events at or before the cursor.
+func TestJobEventsResumeAfterTerminal(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := submitJob(t, ts.URL, "", wire.JobRequest{Matrix: fig1b})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, body)
+	}
+	id := decodeJob(t, body).ID
+	waitJobState(t, ts.URL, "", id, func(j *wire.JobJSON) bool { return wire.JobTerminal(j.State) })
+
+	all := streamEvents(t, context.Background(), ts.URL, id, 0)
+	done := all[len(all)-1]
+	if done.event.Job == nil || len(all) < 2 {
+		t.Fatalf("full stream of %d frames, last %+v", len(all), done.event)
+	}
+	for _, lastID := range []int64{done.event.Seq - 1, done.event.Seq, done.event.Seq + 5} {
+		frames := streamEvents(t, context.Background(), ts.URL, id, lastID)
+		if len(frames) != 1 || frames[0].name != wire.EventDone || frames[0].event.Seq != done.event.Seq {
+			var seqs []int64
+			for _, f := range frames {
+				seqs = append(seqs, f.event.Seq)
+			}
+			t.Fatalf("Last-Event-ID %d: frames with seq %v, want only the done frame (seq %d)", lastID, seqs, done.event.Seq)
+		}
+	}
+}
+
+// TestJobEventsWatchersConcurrently follows one job's ring from several
+// watchers: each must be woken by every publish it waits on, see every
+// event in order and end on the terminal one. The terminal event is
+// published only once every watcher holds the wake channel of the last
+// progress event, so it alone can wake them. The queued event, the burst
+// and the terminal event just fill the ring, so no event ages out.
+func TestJobEventsWatchersConcurrently(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	tenant, err := s.sched.tenantForKey("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := s.newJob(tenant, &wire.JobRequest{}, bitmat.MustParse("1"))
+	defer j.cancel()
+	const watchers, progress = 4, jobEventRing - 2
+	caughtUp := make(chan struct{}, watchers)
+	finished := make(chan struct{}, watchers)
+	for w := 0; w < watchers; w++ {
+		go func() {
+			defer func() { finished <- struct{}{} }()
+			var after int64
+			var batch []wire.JobEvent
+			for {
+				var wake <-chan struct{}
+				batch, wake = j.eventsAfter(after, batch[:0])
+				for _, ev := range batch {
+					if ev.Seq != after+1 {
+						t.Errorf("watcher saw seq %d after %d", ev.Seq, after)
+						return
+					}
+					after = ev.Seq
+				}
+				if wake == nil {
+					if last := batch[len(batch)-1]; last.Job == nil || after != progress+2 {
+						t.Errorf("watcher ended on seq %d (terminal %v), want the terminal seq %d", after, last.Job != nil, progress+2)
+					}
+					return
+				}
+				if after == progress+1 {
+					caughtUp <- struct{}{}
+				}
+				<-wake
+			}
+		}()
+	}
+	wait := func(ch chan struct{}, what string) {
+		for w := 0; w < watchers; w++ {
+			select {
+			case <-ch:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("a watcher never %s", what)
+			}
+		}
+	}
+	for i := 0; i < progress; i++ {
+		j.publishProgress(obs.ProgressSample{Bound: progress - i})
+	}
+	wait(caughtUp, "caught up with the progress events")
+	s.finishJob(j, wire.JobDone, nil, "", false)
+	wait(finished, "woke for the terminal event")
+}
+
 // TestJobCancelMidSolveFreesSlot is the DELETE acceptance path: canceling a
 // running job interrupts its CDCL search promptly and hands the freed slot
 // to the next queued job.
@@ -413,13 +485,14 @@ func TestJobCancelOnDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(sresp.Body)
-	running := false
-	for sc.Scan() && !running {
-		running = strings.Contains(sc.Text(), `"state":"running"`)
-	}
-	if !running {
-		t.Fatalf("stream closed before the job ran")
+	rd := wire.NewEventReader(sresp.Body, 1<<20)
+	for running := false; !running; {
+		f, err := rd.Next()
+		if err != nil {
+			t.Fatalf("stream ended before the job ran: %v", err)
+		}
+		var ev wire.JobEvent
+		running = json.Unmarshal(f.Data, &ev) == nil && ev.State == wire.JobRunning
 	}
 	cancel()
 	sresp.Body.Close()

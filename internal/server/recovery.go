@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 
 	"repro/internal/bitmat"
@@ -101,7 +100,7 @@ func (s *Server) replayJournal() {
 // replayJob re-admits one journaled submission.
 func (s *Server) replayJob(rec *store.JobRecord) {
 	t := s.sched.tenantByName(rec.Tenant)
-	j := s.restoreJob(rec.ID, t, rec.Callback)
+	j := s.jobs.insert(rec.ID, t, false, rec.Callback)
 	s.met.jobsRecovered.Add(1)
 
 	// A cancel_on_disconnect job's watcher died with the old process; its
@@ -145,19 +144,4 @@ func (s *Server) replayJob(rec *store.JobRecord) {
 		return
 	}
 	go s.runJob(j, t, m, opts, timeout, resv)
-}
-
-// restoreJob rebuilds a registry entry under its journaled ID. The job
-// starts queued with a fresh lifetime context, exactly like a new submit
-// except for the pinned ID and the recovered mark.
-func (s *Server) restoreJob(id string, t *tenant, callback string) *job {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := s.jobs.insert(id, t, false, cancel)
-	j.callback = callback
-	j.recovered = true
-	j.mu.Lock()
-	j.lifetime = ctx
-	j.publishLocked(wire.JobEvent{State: wire.JobQueued})
-	j.mu.Unlock()
-	return j
 }

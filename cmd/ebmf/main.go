@@ -20,7 +20,7 @@
 //	-heuristic         skip the exact stage
 //	-strategies S      run one named solver strategy (canonical, luby,
 //	                   destructive, no-phase, seq-amo, native-amo,
-//	                   pairwise-amo, luby-destructive); validated up front
+//	                   luby-destructive); validated up front
 //	-factors           print the H and W factors
 //	-schedule          print the AOD schedule and per-shot frames
 //	-schedule-json F   write the AOD schedule as JSON to F ('-' for stdout)

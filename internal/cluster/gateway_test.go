@@ -540,7 +540,8 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 
 	// Invalid options are 400s even when the gateway could answer the
 	// pattern from its local cache, as they are at ebmfd; retired values
-	// ("log", "glue4", "no-symbreak") decode like any unknown value.
+	// ("log", "glue4", "no-symbreak", "pairwise-amo") decode like any
+	// unknown value.
 	const warm = `101\n011\n110` // JSON-escaped
 	body := func(opts string) string { return `{"matrix":"` + warm + `","options":` + opts + `}` }
 	for i := 0; i < 2; i++ {
@@ -559,6 +560,7 @@ func TestGatewayBadRequestsAreStructured400s(t *testing.T) {
 		{"warm retired strategy log", body(`{"portfolio_strategies":["log"]}`), "strategy"},
 		{"warm retired strategy glue4", body(`{"portfolio_strategies":["canonical","glue4"]}`), "strategy"},
 		{"warm retired strategy no-symbreak", body(`{"portfolio_strategies":["no-symbreak"]}`), "strategy"},
+		{"warm retired strategy pairwise-amo", body(`{"portfolio_strategies":["pairwise-amo"]}`), "strategy"},
 		{"warm unknown amo", body(`{"amo":"ladder"}`), "AMO"},
 	} {
 		for _, path := range []string{"/v1/solve", "/v1/jobs"} {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchgen"
 	"repro/internal/bitmat"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -50,7 +51,7 @@ func newJobCluster(t *testing.T, n int, scfg server.Config, gcfg Config) *testCl
 // gwHardMatrix is a reproducible instance whose exact solve takes long
 // enough (~1s) to cancel mid-flight through the proxy.
 func gwHardMatrix() *bitmat.Matrix {
-	return bitmat.Random(rand.New(rand.NewSource(6509)), 10, 10, 0.55)
+	return benchgen.GapSuite(77, 18, 18, []int{4}, 8)[7].M
 }
 
 // jobCall sends one job-API request with optional Bearer auth and returns

@@ -60,9 +60,8 @@ func variants() []Strategy {
 		{Name: "no-phase", Solver: noPhase},
 		{Name: "seq-amo", AMO: encode.AMOSequential, Solver: def},
 		// native-amo is the canonical configuration under its explicit name,
-		// for side-by-side runs against the encoded ablations below.
+		// for side-by-side runs against the encoded ablation seq-amo.
 		{Name: "native-amo", Solver: def},
-		{Name: "pairwise-amo", AMO: encode.AMOPairwise, Solver: def},
 		{Name: "luby-destructive", Destructive: true, Solver: luby},
 	}
 }

@@ -114,18 +114,25 @@ const (
 	pairClosure                  // both crosses are 1: same rectangle forces crosses in
 )
 
-// classifyPair applies Eq. 4 to entries a=(i,j), b=(i',j') and returns the
-// pair kind and (for closure pairs) the two cross entry indices.
-func classifyPair(m *bitmat.Matrix, idx *entryIndex, a, b int) (pairKind, int, int) {
+// kindOf applies Eq. 4 to entries a=(i,j), b=(i',j').
+func kindOf(m *bitmat.Matrix, idx *entryIndex, a, b int) pairKind {
 	i, j := idx.pos[a][0], idx.pos[a][1]
 	i2, j2 := idx.pos[b][0], idx.pos[b][1]
 	if i == i2 || j == j2 {
-		return pairSkip, 0, 0
+		return pairSkip
 	}
 	if !m.Get(i, j2) || !m.Get(i2, j) {
-		return pairConflict, 0, 0
+		return pairConflict
 	}
-	return pairClosure, idx.at[[2]int{i, j2}], idx.at[[2]int{i2, j}]
+	return pairClosure
+}
+
+// crosses returns the entry indices of the two cross entries (i,j') and
+// (i',j) of a closure pair a=(i,j), b=(i',j').
+func crosses(idx *entryIndex, a, b int) (int, int) {
+	i, j := idx.pos[a][0], idx.pos[a][1]
+	i2, j2 := idx.pos[b][0], idx.pos[b][1]
+	return idx.at[[2]int{i, j2}], idx.at[[2]int{i2, j}]
 }
 
 // partitionFromAssignment reconstructs rectangles from an entry→slot

@@ -1,11 +1,13 @@
 package encode
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitmat"
+	"repro/internal/fooling"
 	"repro/internal/sat"
 )
 
@@ -348,8 +350,10 @@ func TestAMOModesAgreeOnCorpus(t *testing.T) {
 }
 
 // FuzzAMOEquivalence: for any small matrix and bound, the three AMO
-// encodings must agree on satisfiability, and SAT models must decode to
-// valid partitions within the bound.
+// encodings must agree on satisfiability, each must answer what brute force
+// answers (the modes share the symmetry breaks, so agreement alone cannot
+// catch an unsound one), and SAT models must decode to valid partitions
+// within the bound.
 func FuzzAMOEquivalence(f *testing.F) {
 	f.Add(uint8(3), uint8(3), uint8(2), "101010011")
 	f.Add(uint8(2), uint8(5), uint8(3), "1111100000")
@@ -368,10 +372,14 @@ func FuzzAMOEquivalence(f *testing.F) {
 			return
 		}
 		b := int(bound)%m.Ones() + 1
+		want := bruteBinaryRank(m) <= b
 		var status [3]sat.Status
 		for i, mode := range amoModes {
 			e := NewOneHot(m, b, mode)
 			status[i] = e.Solve()
+			if (status[i] == sat.Sat) != want {
+				t.Fatalf("%v: %v at b=%d, brute-force r_B %d\n%s", mode, status[i], b, bruteBinaryRank(m), m)
+			}
 			if status[i] == sat.Sat {
 				p, err := e.ReadPartition()
 				if err != nil {
@@ -387,6 +395,109 @@ func FuzzAMOEquivalence(f *testing.F) {
 				b, status[0], status[1], status[2], m)
 		}
 	})
+}
+
+// TestSymmetryBreaksAgreeWithBruteForce checks the pinned fooling set and
+// the free-slot breaks against brute force: on random matrices up to 6×6,
+// every bound from one below the pin size to r_B+1 must be SAT exactly when
+// r_B ≤ b, for fresh formulas and for incremental (selector) and
+// destructive (unit clause) narrowing, with slot ordering on and off, and
+// every SAT model must decode to a valid partition within the bound. The
+// bound below the pin size is where narrowing disables a pinned slot.
+func TestSymmetryBreaksAgreeWithBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	check := func(name string, e Encoder, rb int, m *bitmat.Matrix) {
+		t.Helper()
+		b := e.Bound()
+		st := e.Solve()
+		if (st == sat.Sat) != (rb <= b) {
+			t.Fatalf("%s: %v at b=%d, brute-force r_B %d\n%s", name, st, b, rb, m)
+		}
+		if st != sat.Sat {
+			return
+		}
+		p, err := e.ReadPartition()
+		if err != nil || p.Depth() > b {
+			t.Fatalf("%s at b=%d: model %v (err %v)\n%s", name, b, p, err, m)
+		}
+	}
+	matrices := 0
+	for matrices < 4_000 {
+		m := bitmat.Random(rng, 1+rng.Intn(6), 1+rng.Intn(6), 0.2+0.7*rng.Float64())
+		if m.Ones() == 0 {
+			continue
+		}
+		matrices++
+		rb := bruteBinaryRank(m)
+		lo, hi := max(1, len(fooling.Greedy(m))-1), rb+1
+		amo := amoModes[matrices%len(amoModes)]
+		for _, noOrder := range []bool{false, true} {
+			cfg := OneHotConfig{AMO: amo, DisableSlotOrdering: noOrder}
+			for b := lo; b <= hi; b++ {
+				check("fresh", NewOneHotConfig(m, b, cfg), rb, m)
+			}
+			for _, incremental := range []bool{true, false} {
+				cfg.Incremental = incremental
+				e := NewOneHotConfig(m, hi, cfg)
+				for {
+					check(fmt.Sprintf("narrowed (incremental %v)", incremental), e, rb, m)
+					if e.Bound() == lo {
+						break
+					}
+					e.Narrow()
+				}
+			}
+		}
+	}
+}
+
+// TestFormulaSizeCountsEmittedClauses: the arena reservation counts every
+// clause the encoder emits. Without slot ordering or selectors nothing is
+// emitted after the symmetry-breaking units, so the solver keeps exactly the
+// counted clauses; otherwise root simplification can only drop some.
+func TestFormulaSizeCountsEmittedClauses(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		m := bitmat.Random(rng, 2+rng.Intn(8), 2+rng.Intn(8), 0.2+0.7*rng.Float64())
+		if m.Ones() == 0 {
+			continue
+		}
+		b := max(2, m.Rank()+rng.Intn(3))
+		f := len(fooling.Greedy(m))
+		if f > b {
+			f = 0
+		}
+		for _, cfg := range []OneHotConfig{
+			{AMO: amoModes[trial%3], DisableSlotOrdering: true},
+			{AMO: amoModes[trial%3]},
+			{AMO: amoModes[trial%3], Incremental: true},
+		} {
+			e := NewOneHotConfig(m, b, cfg)
+			want, _ := e.formulaSize(cfg, f)
+			got := e.Solver().NumClauses()
+			exact := cfg.DisableSlotOrdering && !cfg.Incremental
+			if got > want || (exact && got != want) {
+				t.Fatalf("%+v at b=%d: solver holds %d clauses, counted %d\n%s", cfg, b, got, want, m)
+			}
+		}
+	}
+}
+
+// BenchmarkOneHotBuild builds the default encoder (incremental, native AMO,
+// slot ordering) for 30 random 10×10 matrices at their rank + 2: the
+// encoding cost of one SAT block, dominated by the clause arena.
+func BenchmarkOneHotBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(30))
+	ms := make([]*bitmat.Matrix, 30)
+	for i := range ms {
+		ms[i] = bitmat.Random(rng, 10, 10, 0.5)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, m := range ms {
+			NewOneHotIncremental(m, m.Rank()+2, AMONative)
+		}
+	}
 }
 
 // Property: rank(M) ≤ r_B(M) — at b = rank-1 the formula must be UNSAT.

@@ -114,9 +114,12 @@ func TestIncrementalNarrowToZero(t *testing.T) {
 // clauses in one solver instance (no re-encode), and the destructive and
 // incremental paths agree on the final UNSAT bound.
 func TestIncrementalReusesLearntClauses(t *testing.T) {
-	// Figure 1b: depth 5, so b=4 is the UNSAT frontier.
-	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
-	e := NewOneHotIncremental(m, 6, AMOPairwise)
+	// An 8×8 gap instance of depth 8, so b=7 is the UNSAT frontier. Its
+	// greedy fooling set has 6 entries, so unlike Figure 1b (whose pinned
+	// fooling set of 5 refutes b=4 without a conflict) the proof needs
+	// search.
+	m := bitmat.MustParse("10110101\n01101110\n11010011\n00111101\n11101010\n01011101\n10110110\n01101011")
+	e := NewOneHotIncremental(m, 9, AMOPairwise)
 	bounds := 0
 	for {
 		st := e.Solve()
@@ -129,8 +132,8 @@ func TestIncrementalReusesLearntClauses(t *testing.T) {
 		}
 		e.Narrow()
 	}
-	if e.Bound() != 4 {
-		t.Fatalf("UNSAT frontier at bound %d, want 4", e.Bound())
+	if e.Bound() != 7 {
+		t.Fatalf("UNSAT frontier at bound %d, want 7", e.Bound())
 	}
 	if bounds < 3 {
 		t.Fatalf("expected ≥ 3 Solve calls on one solver, got %d", bounds)

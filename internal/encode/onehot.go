@@ -4,12 +4,32 @@ import (
 	"fmt"
 
 	"repro/internal/bitmat"
+	"repro/internal/fooling"
 	"repro/internal/rect"
 	"repro/internal/sat"
 )
 
 // OneHot is the direct CNF compilation: one variable per (entry, rectangle
 // slot) pair.
+//
+// Its symmetry breaking pins a fooling set. The encoder takes the greedy
+// fooling set of m (fooling.Greedy), f entries no two of which can share a
+// rectangle, and when f ≤ b fixes its t-th entry to slot t by a unit
+// clause. The other slots, f..b-1, are free: the t-th unpinned entry in
+// row-major order may open only free slots f..f+t, and consecutive free
+// slots have non-decreasing first rows (addSlotOrdering). When f > b
+// nothing is pinned (f = 0), which is the plain first-occurrence break.
+//
+// Soundness: every partition into at most b rectangles has a relabelling
+// that satisfies all of it. The entries of a fooling set lie in pairwise
+// distinct rectangles, so label the rectangle holding pin[t] as slot t.
+// The remaining rectangles hold unpinned entries only; number them f, f+1,
+// ... by their first entry in row-major order. The t-th unpinned entry is
+// then either in an earlier rectangle or opens one of index at most f+t,
+// and first entries increase in row-major order, so free slots have
+// non-decreasing first rows (empty ones last). Narrowing stays sound too:
+// every satisfiable bound is at least r_B(m) ≥ f, so a bound that disables
+// a pinned slot is unsatisfiable anyway.
 type OneHot struct {
 	m     *bitmat.Matrix
 	idx   *entryIndex
@@ -32,8 +52,8 @@ type OneHotConfig struct {
 	Incremental bool
 	// DisableSlotOrdering drops the lexicographic slot-signature symmetry
 	// breaking (first-row-index ordering over the row-usage variables
-	// r[i][k]); kept as an ablation knob. The weaker per-entry break
-	// (entry t opens slots ≤ t) is always on.
+	// r[i][k]); kept as an ablation knob. The pinned fooling set and the
+	// weaker per-entry break (see OneHot) are always on.
 	DisableSlotOrdering bool
 }
 
@@ -74,12 +94,19 @@ func newOneHot(m *bitmat.Matrix, b int, cfg OneHotConfig) *OneHot {
 		e.s.AddClause()
 		return e
 	}
+	// The greedy fooling set to pin (see OneHot); too large for b pins
+	// nothing.
+	pin := fooling.Greedy(m)
+	if len(pin) > b {
+		pin = nil
+	}
+	f := len(pin)
 	// Size the solver's backing arrays up front: n*b entry-slot variables
-	// plus selectors and slot-ordering auxiliaries, and roughly n²b/2
-	// words of clause storage (the closure/conflict pair loop dominates).
-	// Pure capacity hints — encoding is allocation-bound without them.
+	// plus selectors and slot-ordering auxiliaries, and the clause arena to
+	// the formula's exact size. Pure capacity hints — encoding is
+	// allocation-bound without them.
 	e.s.ReserveVars(n*b + b + 2*(m.Rows()+1)*b)
-	e.s.ReserveClauseWords(n * b * (n/2 + 4))
+	e.s.ReserveClauses(e.formulaSize(cfg, f))
 	e.vars = make([][]sat.Var, n)
 	flat := make([]sat.Var, n*b)
 	for en := range e.vars {
@@ -89,8 +116,8 @@ func newOneHot(m *bitmat.Matrix, b int, cfg OneHotConfig) *OneHot {
 		}
 	}
 	// Exactly-one slot per entry.
+	lits := make([]sat.Lit, b)
 	for en := 0; en < n; en++ {
-		lits := make([]sat.Lit, b)
 		for k := 0; k < b; k++ {
 			lits[k] = sat.PosLit(e.vars[en][k])
 		}
@@ -100,14 +127,13 @@ func newOneHot(m *bitmat.Matrix, b int, cfg OneHotConfig) *OneHot {
 	// Closure constraints (Eq. 4) per unordered pair and slot.
 	for a := 0; a < n; a++ {
 		for c := a + 1; c < n; c++ {
-			kind, crossA, crossB := classifyPair(m, e.idx, a, c)
-			switch kind {
-			case pairSkip:
+			switch kindOf(m, e.idx, a, c) {
 			case pairConflict:
 				for k := 0; k < b; k++ {
 					e.s.AddClause(sat.NegLit(e.vars[a][k]), sat.NegLit(e.vars[c][k]))
 				}
 			case pairClosure:
+				crossA, crossB := crosses(e.idx, a, c)
 				for k := 0; k < b; k++ {
 					e.s.AddClause(sat.NegLit(e.vars[a][k]), sat.NegLit(e.vars[c][k]),
 						sat.PosLit(e.vars[crossA][k]))
@@ -117,15 +143,26 @@ func newOneHot(m *bitmat.Matrix, b int, cfg OneHotConfig) *OneHot {
 			}
 		}
 	}
-	// Symmetry breaking: entry t may only open slots 0..t (rectangles are
-	// interchangeable, so order them by their first entry).
-	for en := 0; en < n && en < b; en++ {
-		for k := en + 1; k < b; k++ {
+	// Symmetry breaking (see OneHot): the pinned fooling set, then the
+	// t-th unpinned entry opens only free slots f..f+t.
+	pinned := make([]bool, n)
+	for t, p := range pin {
+		en := e.idx.at[p]
+		pinned[en] = true
+		e.s.AddClause(sat.PosLit(e.vars[en][t]))
+	}
+	t := 0
+	for en := 0; en < n && f+t+1 < b; en++ {
+		if pinned[en] {
+			continue
+		}
+		for k := f + t + 1; k < b; k++ {
 			e.s.AddClause(sat.NegLit(e.vars[en][k]))
 		}
+		t++
 	}
 	if !cfg.DisableSlotOrdering {
-		e.addSlotOrdering()
+		e.addSlotOrdering(f)
 	}
 	if incremental {
 		e.sel = make([]sat.Var, b)
@@ -141,11 +178,70 @@ func newOneHot(m *bitmat.Matrix, b int, cfg OneHotConfig) *OneHot {
 	return e
 }
 
-// addSlotOrdering adds the lexicographic slot-signature symmetry breaking:
-// slots, read in index order, must have non-decreasing first-row index, with
-// empty slots sorting last. This kills the k! permutation symmetry of the
-// rectangle slots beyond what the per-entry break prunes — every UNSAT proof
-// otherwise re-refutes row-permuted copies of the same partition attempt.
+// formulaSize counts the clauses of two or more literals newOneHot emits for
+// f pinned slots, and their literals: the clause arena's exact size as
+// emitted. Units never reach the arena, and the solver's root-level
+// simplification against the symmetry-breaking units can only shrink the
+// slot-ordering and selector clauses that follow them.
+func (e *OneHot) formulaSize(cfg OneHotConfig, f int) (clauses, lits int) {
+	n, b := len(e.idx.pos), e.b
+	add := func(count, size int) {
+		if size >= 2 {
+			clauses += count
+			lits += count * size
+		}
+	}
+	add(n, b) // exactly one slot per entry
+	switch cfg.AMO {
+	case AMOPairwise:
+		add(n*b*(b-1)/2, 2)
+	case AMOSequential:
+		if b >= 2 {
+			add(n*(3*b-4), 2)
+		}
+	}
+	var conflicts, closures int
+	for a := 0; a < n; a++ {
+		for c := a + 1; c < n; c++ {
+			switch kindOf(e.m, e.idx, a, c) {
+			case pairConflict:
+				conflicts++
+			case pairClosure:
+				closures++
+			}
+		}
+	}
+	add(conflicts*b, 2)
+	add(closures*2*b, 3)
+	if free := b - f; !cfg.DisableSlotOrdering && free > 0 {
+		rows := 0
+		for en := range e.idx.pos {
+			if en == 0 || e.idx.pos[en][0] != e.idx.pos[en-1][0] {
+				rows++
+			}
+		}
+		// Per free slot and row of L entries: L binaries x → r and one
+		// (L+1)-clause back; the u chain's two binaries per row and one
+		// ternary per row after the first. Then the ordering binaries.
+		add(free*n, 2)
+		clauses += free * rows
+		lits += free * (n + rows)
+		add(free*2*rows, 2)
+		add(free*(rows-1), 3)
+		add((free-1)*rows, 2)
+	}
+	if cfg.Incremental {
+		add(n*b, 2) // selectors
+	}
+	return clauses, lits
+}
+
+// addSlotOrdering adds the lexicographic slot-signature symmetry breaking
+// over the free slots from..b-1: read in index order, they must have
+// non-decreasing first-row index, with empty slots sorting last. This kills
+// the k! permutation symmetry of the rectangle slots beyond what the
+// per-entry break prunes — every UNSAT proof otherwise re-refutes
+// row-permuted copies of the same partition attempt.
 //
 // Encoding: row-usage variables r[i][k] ⇔ slot k contains an entry of row i,
 // prefix variables u[i][k] ⇔ slot k uses some row ≤ i (chained per slot), and
@@ -157,7 +253,7 @@ func newOneHot(m *bitmat.Matrix, b int, cfg OneHotConfig) *OneHot {
 // sound, and it composes with selector-based narrowing: a disabled slot's x
 // variables are all false, which forces its r and u chains false, making the
 // ordering clauses vacuous for the disabled suffix.
-func (e *OneHot) addSlotOrdering() {
+func (e *OneHot) addSlotOrdering(from int) {
 	// Entries of each nonzero row, in row order (row-major entry index).
 	n := len(e.idx.pos)
 	var rows []int          // distinct rows with entries, ascending
@@ -175,7 +271,7 @@ func (e *OneHot) addSlotOrdering() {
 		u[ri] = make([]sat.Var, e.b)
 	}
 	lits := make([]sat.Lit, 0, 8)
-	for k := 0; k < e.b; k++ {
+	for k := from; k < e.b; k++ {
 		for ri := range rows {
 			// r ⇔ some entry of this row is in slot k.
 			r := e.s.NewVar()
@@ -200,7 +296,7 @@ func (e *OneHot) addSlotOrdering() {
 	}
 	// Ordering: slot k+1 may only reach into row prefixes slot k already
 	// uses.
-	for k := 0; k+1 < e.b; k++ {
+	for k := from; k+1 < e.b; k++ {
 		for ri := range rows {
 			e.s.AddClause(sat.NegLit(u[ri][k+1]), sat.PosLit(u[ri][k]))
 		}
@@ -299,9 +395,10 @@ func (e *OneHot) Narrow() {
 // SolveAt decides r_B(m) ≤ bound without permanently narrowing the formula,
 // by assuming every slot ≥ bound away (solver assumptions instead of unit
 // clauses). bound must be ≤ the bound the formula was built for. Useful for
-// probing several bounds on one formula; the SAP loop itself uses the
-// destructive Narrow, which lets the solver keep the learnt clauses sound
-// across calls either way.
+// probing several bounds on one formula; the SAP loop itself runs Solve and
+// Narrow, which in incremental mode (the default) disable slots by the same
+// selector assumptions, so learnt clauses stay sound across calls either
+// way.
 func (e *OneHot) SolveAt(bound int) sat.Status {
 	if len(e.idx.pos) == 0 {
 		return sat.Sat

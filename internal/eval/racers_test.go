@@ -1,11 +1,10 @@
 package eval
 
 import (
-	"math/rand"
 	"testing"
 
+	"repro/internal/benchgen"
 	"repro/internal/bitmat"
-	"repro/internal/circuit"
 	"repro/internal/core"
 )
 
@@ -16,16 +15,12 @@ type racerInstance struct {
 }
 
 // racerInstances is the fixed set on which every pool strategy beats the
-// canonical one somewhere, drawn from committed generators.
+// canonical one somewhere, drawn from committed generators: one instance of
+// the hard-tail suite (DESIGN §9) on which each survivor spends fewer
+// conflicts than canonical.
 func racerInstances() []racerInstance {
-	// A sparse 16×16 circuit layer, drawn the way loadbench's circuit
-	// family draws its 16×16 level.
-	rng := rand.New(rand.NewSource(3577))
-	occ := 0.05 + 0.15*rng.Float64()
 	return []racerInstance{
-		{"blockdiag-2", BlockDiagSAPMatrices()[2]},
-		{"paper-gap3-1", PaperSuites(2024, 2, 10)["10x10, gap, 3"][1].M},
-		{"circuit16-s3577", circuit.RandomCircuit(rng, 16, 16, 1, occ).Layers[0].Pattern},
+		{"hard-tail-9001-14-4-4", benchgen.GapSuite(9001, 14, 14, []int{4}, 8)[4].M},
 	}
 }
 

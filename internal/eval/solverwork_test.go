@@ -65,32 +65,61 @@ func paperSuitesSmall() []*bitmat.Matrix {
 	return ms
 }
 
+// hardTail is the hard-tail suite of DESIGN §9: 15 gap instances, each of
+// which took at least 1 s under core.DefaultOptions() before the encoder
+// pinned a fooling set, listed as (seed, n, pairs)[indices] of
+// benchgen.GapSuite(seed, n, n, []int{pairs}, 8).
+func hardTail() []*bitmat.Matrix {
+	calls := []struct {
+		seed     int64
+		n, pairs int
+		idx      []int
+	}{
+		{77, 14, 4, []int{5}},
+		{77, 16, 4, []int{3, 4, 5}},
+		{77, 16, 6, []int{4, 6}},
+		{1203, 16, 4, []int{4, 5}},
+		{4242, 14, 4, []int{5}},
+		{4242, 16, 4, []int{3, 6}},
+		{9001, 14, 4, []int{4}},
+		{9001, 16, 4, []int{2, 4, 7}},
+	}
+	var ms []*bitmat.Matrix
+	for _, c := range calls {
+		suite := benchgen.GapSuite(c.seed, c.n, c.n, []int{c.pairs}, 8)
+		for _, i := range c.idx {
+			ms = append(ms, suite[i].M)
+		}
+	}
+	return ms
+}
+
 func solverWorkPins() []workPin {
 	return []workPin{
 		{
 			name: "table-i-gap", ms: GapSuiteMatrices, opts: TableIGapSAPOptions,
-			depth: 141, conflicts: 887, satCalls: 4, optimal: 20,
+			depth: 141, conflicts: 503, satCalls: 4, optimal: 20,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
 		{
 			name: "blockdiag-decomposed", ms: BlockDiagSAPMatrices,
 			opts:  func() core.Options { return BlockDiagSAPOptions(true) },
-			depth: 75, conflicts: 141, satCalls: 1, optimal: 3,
+			depth: 75, conflicts: 0, satCalls: 1, optimal: 3,
 			rankLB: 74, heuristic: 75,
 			sha: "a175b932e75a2cf99776824d45fce5055f9755222fb450f945ae6e64e8c086db",
 		},
 		{
 			name: "blockdiag-whole", ms: BlockDiagSAPMatrices,
 			opts:  func() core.Options { return BlockDiagSAPOptions(false) },
-			depth: 75, conflicts: 11_708, satCalls: 1, optimal: 3,
+			depth: 75, conflicts: 0, satCalls: 1, optimal: 3,
 			rankLB: 74, heuristic: 75,
 			sha: "c474c8b20ab9f8cfa9d618b3f5c66cc72eda470202dfdeb5a17f141620caae17",
 		},
 		{
 			name: "gap-12x12-p3",
 			ms:   func() []*bitmat.Matrix { return matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4)) },
-			opts: foolingOff, depth: 43, conflicts: 4_233, satCalls: 3, optimal: 4,
+			opts: foolingOff, depth: 43, conflicts: 542, satCalls: 3, optimal: 4,
 			rankLB: 39, heuristic: 43,
 			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
 		},
@@ -101,7 +130,7 @@ func solverWorkPins() []workPin {
 				opts.ConflictBudget = 200_000
 				return opts
 			},
-			depth: 886, conflicts: 1_595, satCalls: 9, optimal: 114,
+			depth: 886, conflicts: 401, satCalls: 9, optimal: 114,
 			rankLB: 876, heuristic: 886,
 			sha: "c863bc0aa8e6b044dee1898fd44e9d65ae6025ede6f41aa3d931621eeebb7d71",
 		},
@@ -122,15 +151,16 @@ func solverWorkPins() []workPin {
 			sha: "4b05260eef176345c421b18e7e703a3c2a702df32a82260a8b83fffd68a3c334",
 		},
 		{
-			// The budget runs out inside a probe on one instance.
+			// The budget runs out inside a probe on one instance (300 of
+			// the 531 conflicts its proof takes unbudgeted).
 			name: "budget-mid-probe",
 			ms:   func() []*bitmat.Matrix { return matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4)) },
 			opts: func() core.Options {
 				opts := foolingOff()
-				opts.ConflictBudget = 3_000
+				opts.ConflictBudget = 300
 				return opts
 			},
-			depth: 43, conflicts: 3_978, satCalls: 3, optimal: 3,
+			depth: 43, conflicts: 311, satCalls: 3, optimal: 3,
 			rankLB: 39, heuristic: 43,
 			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
 		},
@@ -142,7 +172,7 @@ func solverWorkPins() []workPin {
 				opts.Strategy = "luby"
 				return opts
 			},
-			depth: 141, conflicts: 875, satCalls: 4, optimal: 20,
+			depth: 141, conflicts: 486, satCalls: 4, optimal: 20,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
@@ -158,9 +188,17 @@ func solverWorkPins() []workPin {
 				opts.ConflictBudget = 1_000
 				return opts
 			},
-			depth: 929, conflicts: 2_345, satCalls: 7, optimal: 117,
+			depth: 929, conflicts: 13, satCalls: 7, optimal: 118,
 			rankLB: 915, foolingLB: 830, heuristic: 929,
 			sha: "8bf5c46ce4a68f321d63abc5f2e4d20f565872d364cd95e54beb0185a9543334",
+		},
+		{
+			// The hard tail under the default options, unbudgeted in
+			// conflicts: every instance is proved optimal.
+			name: "hard-tail", ms: hardTail, opts: core.DefaultOptions,
+			depth: 220, conflicts: 6_303, satCalls: 18, optimal: 15,
+			rankLB: 185, foolingLB: 183, heuristic: 223,
+			sha: "8a327af078fb50cb21783fb07554a552fcc505c9d929bfa0df90b64470e6bffe",
 		},
 	}
 }

@@ -161,14 +161,16 @@ func (s *Solver) ReserveVars(n int) {
 	s.heap.reserve(n)
 }
 
-// ReserveClauseWords pre-sizes the clause arena for about n words of clause
-// storage (header plus literals per clause), with the same
-// allocate-once-instead-of-doubling intent as ReserveVars.
-func (s *Solver) ReserveClauseWords(n int) {
-	if n <= cap(s.ca.data) {
+// ReserveClauses pre-sizes the clause arena for n more clauses holding lits
+// literals in total, with the same allocate-once-instead-of-doubling intent
+// as ReserveVars. Units never reach the arena, so callers count only
+// clauses of two or more literals.
+func (s *Solver) ReserveClauses(n, lits int) {
+	words := len(s.ca.data) + n*hdrWords + lits
+	if words <= cap(s.ca.data) {
 		return
 	}
-	s.ca.data = append(make([]uint32, 0, n), s.ca.data...)
+	s.ca.data = append(make([]uint32, 0, words), s.ca.data...)
 }
 
 // NewVar introduces a fresh variable and returns its index.

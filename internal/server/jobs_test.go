@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchgen"
 	"repro/internal/bitmat"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -24,15 +25,18 @@ import (
 // instances have the properties the tests rely on:
 //
 //   - hardMatrix: the exact solve takes on the order of a second (a wide
-//     window for mid-solve cancellation), and is interruptible throughout —
-//     cancellation reaches the CDCL search between conflicts.
+//     window for mid-solve cancellation; 0.6–0.8 s and 10 472 conflicts
+//     on a 2-vCPU VM, about 5 s under -race, inside the tests' 30 s
+//     waits), and is interruptible throughout — cancellation reaches the
+//     CDCL search between conflicts.
 //   - gapMatrix: the heuristic pipeline (SkipSAT) leaves the optimality gap
 //     open — pack depth 9 against a best bound of 8 — so a degraded answer
 //     is observably non-optimal.
-//   - progressMatrix: hard enough (~100ms exact) to emit live progress
-//     events, easy enough that the streaming test finishes quickly.
+//   - progressMatrix: hard enough (~150ms and 4 048 conflicts exact) to
+//     emit live progress events, easy enough that the streaming test
+//     finishes quickly.
 func hardMatrix() *bitmat.Matrix {
-	return bitmat.Random(rand.New(rand.NewSource(6509)), 10, 10, 0.55)
+	return benchgen.GapSuite(77, 18, 18, []int{4}, 8)[7].M
 }
 
 func gapMatrix() *bitmat.Matrix {
@@ -40,7 +44,7 @@ func gapMatrix() *bitmat.Matrix {
 }
 
 func progressMatrix() *bitmat.Matrix {
-	return bitmat.Random(rand.New(rand.NewSource(4510)), 10, 10, 0.35)
+	return benchgen.GapSuite(77, 18, 18, []int{4}, 8)[1].M
 }
 
 func decodeJob(t *testing.T, data []byte) *wire.JobJSON {

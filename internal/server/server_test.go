@@ -159,6 +159,7 @@ func TestSolveBadRequests(t *testing.T) {
 		{"retired strategy log", `{"matrix":"1","options":{"portfolio_strategies":["log"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"retired strategy glue4", `{"matrix":"1","options":{"portfolio_strategies":["glue4"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"retired strategy no-symbreak", `{"matrix":"1","options":{"portfolio_strategies":["canonical","no-symbreak"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"retired strategy pairwise-amo", `{"matrix":"1","options":{"portfolio_strategies":["pairwise-amo"]}}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"too large", `{"matrix":"` + strings.Repeat("11111\\n", 5) + `"}`, http.StatusBadRequest, wire.CodeBudgetExceeded},
 		{"not json", `hello`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"trailing junk", `{"matrix":"101\n011"} trailing junk`, http.StatusBadRequest, wire.CodeBadRequest},

@@ -39,7 +39,10 @@
 //     a 400 bad_request at every tier, including a gateway that could answer
 //     from its cache, never a silent fallback. Retired so far: the encoding
 //     "log" and the portfolio strategies "log", "glue4" and "no-symbreak"
-//     (none ever beat the default on the committed suites); and strategy
+//     (none ever beat the default on the committed suites); the strategy
+//     "pairwise-amo" (once the encoder pinned a fooling set, it spent
+//     exactly the default's conflicts on every committed instance, DESIGN
+//     §9); and strategy
 //     racing (it lost on summed wall time at about 1.8× the CPU, DESIGN
 //     §9), which retires "portfolio" above 1, "share_clauses": true and
 //     "portfolio_strategies" lists of two or more names. The fields

@@ -211,6 +211,7 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 		{PortfolioStrategies: []string{"log"}},
 		{PortfolioStrategies: []string{"glue4"}},
 		{PortfolioStrategies: []string{"canonical", "no-symbreak"}},
+		{PortfolioStrategies: []string{"pairwise-amo"}},
 		{AMO: "ladder"},
 		// Strategy racing's values.
 		{Portfolio: 2},

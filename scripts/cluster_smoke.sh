@@ -170,8 +170,9 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"rows":[[]]}' "http:/
 # per-backend jobs.submitted counter moved), kill -9 that backend, and
 # assert a single gateway poll answers a live re-homed snapshot — same gw-
 # ID, "rehomed":true, no 502 — with the re-home counted in the gateway's
-# /v1/metrics. The job must still reach done on the surviving backend.
-HARD='1110101100\n1101010001\n1010111001\n1111101110\n0010101011\n0111001111\n1011000110\n0100101111\n0101010001\n1101100010'
+# /v1/metrics. The job must still reach done on the surviving backend. The
+# slow job is benchgen.GapSuite(77, 18, 18, {4}, 8)[7], ~1s exact.
+HARD='111000001010110010\n000000100100000001\n010000101000010001\n101000000110100010\n011000001010110011\n100000100100000000\n110000101110000011\n001000000000110000\n101100111000111000\n101111000010111011\n111011100011100100\n010000101111000101\n101010111100110110\n001011101101010101\n010011100111011010\n001001111000001000\n110000111100100001\n100111111110111010'
 jobs_submitted() {
   curl -sf "http://$1/v1/metrics" | grep -o '"jobs":{"submitted":[0-9]*' | grep -o '[0-9]*$'
 }

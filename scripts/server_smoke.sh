@@ -28,9 +28,10 @@ set -euo pipefail
 FIG1B='101100\n010011\n101010\n010101\n111000\n000111'
 # Fig. 1b with rows and columns permuted; same canonical fingerprint.
 FIG1B_PERM='110100\n111000\n000111\n001011\n010011\n101100'
-# A reproducible 10x10 whose exact solve takes ~1s: wide enough a window to
-# cancel mid-solve deterministically.
-HARD='1110101100\n1101010001\n1010111001\n1111101110\n0010101011\n0111001111\n1011000110\n0100101111\n0101010001\n1101100010'
+# A reproducible 18x18 (benchgen.GapSuite(77, 18, 18, {4}, 8)[7]) whose
+# exact solve takes ~1s: wide enough a window to cancel mid-solve
+# deterministically.
+HARD='111000001010110010\n000000100100000001\n010000101000010001\n101000000110100010\n011000001010110011\n100000100100000000\n110000101110000011\n001000000000110000\n101100111000111000\n101111000010111011\n111011100011100100\n010000101111000101\n101010111100110110\n001011101101010101\n010011100111011010\n001001111000001000\n110000111100100001\n100111111110111010'
 # A reproducible 9x9 where the packing heuristic provably over-shoots the
 # lower bound, so a heuristic-only (degraded) answer must be optimal=false.
 GAPM='011100101\n010001001\n011101001\n100110100\n001101000\n010110110\n100100101\n101101110\n010100111'

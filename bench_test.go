@@ -279,16 +279,14 @@ func BenchmarkAblationOrderSorted(b *testing.B) {
 	benchPackVariant(b, rowpack.Options{Trials: 1, Order: rowpack.OrderSortedAsc})
 }
 
-// --- Solver / SAP benchmarks: the perf-tracked set (DESIGN.md §7). These
-// isolate the CDCL core and the SAP narrowing loop on the Table I suites so
-// the solver's trajectory across PRs is visible without packing/fooling
-// noise; cmd/timing -json snapshots the same workloads. ---
+// --- Solver / SAP benchmarks. These isolate the CDCL core and the SAP
+// narrowing loop on the Table I suites, without packing/fooling noise, for
+// profiling while working. Nothing judges their times: TestSolverWorkPins
+// and TestFig1bDecisionPin pin the same work by counts (DESIGN.md §7). ---
 
 // BenchmarkSolverTableIGapNarrowing drives the incremental narrowing loop —
 // encode once at the heuristic bound, SolveAssuming per depth — over the
-// Table I gap suites, down to the rank bound or UNSAT. The job list and
-// loop live in internal/eval so cmd/timing -json measures the identical
-// workload.
+// Table I gap suites, down to the rank bound or UNSAT.
 func BenchmarkSolverTableIGapNarrowing(b *testing.B) {
 	jobs := eval.TableIGapSolverJobs()
 	b.ResetTimer()

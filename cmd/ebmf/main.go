@@ -19,8 +19,8 @@
 //	-fooling N         fooling-set node budget, 0 = skip (default 200000)
 //	-heuristic         skip the exact stage
 //	-strategies S      run one named solver strategy (canonical, luby,
-//	                   destructive, no-phase, seq-amo, native-amo,
-//	                   luby-destructive); validated up front
+//	                   destructive, no-phase, seq-amo, luby-destructive);
+//	                   validated up front
 //	-factors           print the H and W factors
 //	-schedule          print the AOD schedule and per-shot frames
 //	-schedule-json F   write the AOD schedule as JSON to F ('-' for stdout)

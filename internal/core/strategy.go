@@ -46,8 +46,8 @@ func Canonical() Strategy {
 
 // variants is the pool of named alternatives to Canonical. Every entry
 // differs from Canonical in exactly the dimension its name states, and each
-// except native-amo spends fewer conflicts than Canonical on some committed
-// instance (TestEverySurvivingRacerWins in internal/eval).
+// spends fewer conflicts than Canonical on some committed instance
+// (TestEverySurvivingRacerWins in internal/eval).
 func variants() []Strategy {
 	def := sat.DefaultConfig()
 	luby := def
@@ -59,9 +59,6 @@ func variants() []Strategy {
 		{Name: "luby", Solver: luby},
 		{Name: "no-phase", Solver: noPhase},
 		{Name: "seq-amo", AMO: encode.AMOSequential, Solver: def},
-		// native-amo is the canonical configuration under its explicit name,
-		// for side-by-side runs against the encoded ablation seq-amo.
-		{Name: "native-amo", Solver: def},
 		{Name: "luby-destructive", Destructive: true, Solver: luby},
 	}
 }

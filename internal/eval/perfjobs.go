@@ -9,10 +9,9 @@ import (
 	"repro/internal/sat"
 )
 
-// The perf-tracked Solver/SAP workloads. bench_test.go (`go test -bench
-// 'Solver|SAP'`) and cmd/timing -json (BENCH_solver.json) both measure these
-// jobs, so they must stay one source of truth — drift would silently make
-// the JSON snapshots incomparable to the benchmark numbers.
+// The Solver/SAP workloads. bench_test.go (`go test -bench 'Solver|SAP'`)
+// times these jobs and TestSolverWorkPins pins their work by counts, so
+// both read the same instances.
 
 // SolverJob is one Table I gap decision problem: a matrix plus its
 // row-packing upper bound, the input the SAP loop hands the SAT solver.
@@ -53,8 +52,8 @@ func NarrowToRank(j SolverJob, incremental, symBreak bool) {
 	}
 }
 
-// TableIGapSAPOptions are the end-to-end SAP options of the perf-tracked
-// Table I gap workload (BenchmarkSAPTableIGap / cmd/timing -json).
+// TableIGapSAPOptions are the end-to-end SAP options of the Table I gap
+// workload (BenchmarkSAPTableIGap and the table-i-gap work pins).
 func TableIGapSAPOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.FoolingBudget = 0

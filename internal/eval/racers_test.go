@@ -26,10 +26,9 @@ func racerInstances() []racerInstance {
 
 // TestEverySurvivingRacerWins is the measurement that keeps each named
 // strategy as a solo choice (core.Options.Strategy): run alone under a
-// conflict budget, every strategy except native-amo (the canonical
-// configuration under its explicit name) spends fewer conflicts than
-// canonical on at least one instance. A strategy that stops winning
-// anywhere is a candidate for deletion.
+// conflict budget, every strategy spends fewer conflicts than canonical on
+// at least one instance. A strategy that stops winning anywhere is a
+// candidate for deletion.
 func TestEverySurvivingRacerWins(t *testing.T) {
 	instances := racerInstances()
 	conflicts := func(m *bitmat.Matrix, name string) int64 {
@@ -58,12 +57,9 @@ func TestEverySurvivingRacerWins(t *testing.T) {
 		for i, in := range instances {
 			c := conflicts(in.m, name)
 			t.Logf("%-16s %-16s %6d conflicts (canonical %d)", name, in.name, c, canonical[i])
-			if name == "native-amo" && c != canonical[i] {
-				t.Errorf("native-amo spent %d conflicts on %s, canonical %d: it must stay a clone", c, in.name, canonical[i])
-			}
 			won = won || c < canonical[i]
 		}
-		if !won && name != "native-amo" {
+		if !won {
 			t.Errorf("strategy %q spends no fewer conflicts than canonical on any instance", name)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/bitmat"
 	"repro/internal/core"
+	"repro/internal/encode"
 	"repro/internal/sat"
 )
 
@@ -99,6 +100,29 @@ func solverWorkPins() []workPin {
 		{
 			name: "table-i-gap", ms: GapSuiteMatrices, opts: TableIGapSAPOptions,
 			depth: 141, conflicts: 503, satCalls: 4, optimal: 20,
+			rankLB: 137, heuristic: 141,
+			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
+		},
+		{
+			// The narrowing ablations of the Table I gap suite.
+			name: "table-i-gap-destructive", ms: GapSuiteMatrices,
+			opts: func() core.Options {
+				opts := TableIGapSAPOptions()
+				opts.DisableIncremental = true
+				return opts
+			},
+			depth: 141, conflicts: 395, satCalls: 4, optimal: 20,
+			rankLB: 137, heuristic: 141,
+			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
+		},
+		{
+			name: "table-i-gap-no-symbreak", ms: GapSuiteMatrices,
+			opts: func() core.Options {
+				opts := TableIGapSAPOptions()
+				opts.DisableSymmetryBreaking = true
+				return opts
+			},
+			depth: 141, conflicts: 7_082, satCalls: 4, optimal: 20,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
@@ -200,6 +224,18 @@ func solverWorkPins() []workPin {
 			rankLB: 185, foolingLB: 183, heuristic: 223,
 			sha: "8a327af078fb50cb21783fb07554a552fcc505c9d929bfa0df90b64470e6bffe",
 		},
+		{
+			// An instance that stays hard with the pinned fooling set: one
+			// UNSAT proof of about 30 000 conflicts under the default options.
+			name: "still-hard",
+			ms: func() []*bitmat.Matrix {
+				return matrices(benchgen.GapSuite(1203, 20, 20, []int{4}, 8)[1:2])
+			},
+			opts:  core.DefaultOptions,
+			depth: 20, conflicts: 30_893, satCalls: 1, optimal: 1,
+			rankLB: 17, foolingLB: 15, heuristic: 20,
+			sha: "2c8548bc4cec624e607c621eba6939a0bc6d21d6ecbfc18686f6cf72a8f5a88a",
+		},
 	}
 }
 
@@ -261,16 +297,27 @@ func TestSolverWorkPins(t *testing.T) {
 	}
 }
 
-// TestFig1bDecisionPin pins the default encoder's work on the paper's
-// Figure 1b pattern at bound 4, one below its optimum of 5. (Solve itself
+// TestFig1bDecisionPin pins the encoder's work on the paper's Figure 1b
+// pattern at bound 4, one below its optimum of 5: the default encoder, and
+// the pairwise-AMO encoder BenchmarkSolverFig1bUnsat times. (Solve itself
 // proves Fig. 1b by its fooling set, without SAT.)
 func TestFig1bDecisionPin(t *testing.T) {
 	m := bitmat.MustParse("101100\n010011\n101010\n010101\n111000\n000111")
-	enc := core.Canonical().NewEncoder(m, 4)
-	if st := enc.Solve(); st != sat.Unsat {
-		t.Fatalf("status %v, want UNSAT", st)
-	}
-	if got := enc.Solver().Conflicts; got != 10 {
-		t.Errorf("conflicts %d, pinned 10", got)
+	for _, c := range []struct {
+		name                               string
+		enc                                encode.Encoder
+		conflicts, decisions, propagations int64
+	}{
+		{"native", core.Canonical().NewEncoder(m, 4), 10, 9, 375},
+		{"pairwise", encode.NewOneHot(m, 4, encode.AMOPairwise), 10, 9, 345},
+	} {
+		if st := c.enc.Solve(); st != sat.Unsat {
+			t.Fatalf("%s: status %v, want UNSAT", c.name, st)
+		}
+		s := c.enc.Solver()
+		if s.Conflicts != c.conflicts || s.Decisions != c.decisions || s.Propagations != c.propagations {
+			t.Errorf("%s: conflicts/decisions/propagations = %d/%d/%d, pinned %d/%d/%d", c.name,
+				s.Conflicts, s.Decisions, s.Propagations, c.conflicts, c.decisions, c.propagations)
+		}
 	}
 }

@@ -42,7 +42,8 @@
 //     (none ever beat the default on the committed suites); the strategy
 //     "pairwise-amo" (once the encoder pinned a fooling set, it spent
 //     exactly the default's conflicts on every committed instance, DESIGN
-//     §9); and strategy
+//     §9); the strategy "native-amo" (the default configuration under a
+//     second name; "amo":"native" still selects it); and strategy
 //     racing (it lost on summed wall time at about 1.8× the CPU, DESIGN
 //     §9), which retires "portfolio" above 1, "share_clauses": true and
 //     "portfolio_strategies" lists of two or more names. The fields

@@ -212,6 +212,7 @@ func TestApplyValidatesAndOverlays(t *testing.T) {
 		{PortfolioStrategies: []string{"glue4"}},
 		{PortfolioStrategies: []string{"canonical", "no-symbreak"}},
 		{PortfolioStrategies: []string{"pairwise-amo"}},
+		{PortfolioStrategies: []string{"native-amo"}},
 		{AMO: "ladder"},
 		// Strategy racing's values.
 		{Portfolio: 2},

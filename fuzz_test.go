@@ -5,6 +5,8 @@ package ebmf_test
 
 import (
 	"context"
+	"math/big"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -197,4 +199,76 @@ func FuzzRowPack(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRank: the rational rank (Eq. 3) on shapes up to 100×100 must equal
+// Gaussian elimination over big.Rat, which shares nothing with Rank's
+// fraction-free int64 and big.Int steps. Seeds: Fig. 1b, the 3×3 triangle
+// whose GF(2) rank is lower, and a sparse 70×70 block below full rank.
+func FuzzRank(f *testing.F) {
+	f.Add(uint8(6), uint8(6), "101100010011101010010101111000000111")
+	f.Add(uint8(3), uint8(3), "011101110")
+	rng := rand.New(rand.NewSource(70))
+	sparse := make([]byte, 70*70)
+	for i := range sparse {
+		sparse[i] = '0'
+		if rng.Float64() < 0.04 {
+			sparse[i] = '1'
+		}
+	}
+	f.Add(uint8(70), uint8(70), string(sparse))
+	f.Fuzz(func(t *testing.T, rows, cols uint8, bits string) {
+		r := int(rows%100) + 1
+		c := int(cols%100) + 1
+		m := ebmf.New(r, c)
+		for idx := 0; idx < r*c && idx < len(bits); idx++ {
+			if bits[idx]&1 == 1 {
+				m.Set(idx/c, idx%c, true)
+			}
+		}
+		if got, want := m.Rank(), ratRank(m); got != want {
+			t.Fatalf("Rank %d, big.Rat elimination %d\n%s", got, want, m)
+		}
+	})
+}
+
+// ratRank is the rank over ℚ by Gaussian elimination on big.Rat.
+func ratRank(m *ebmf.Matrix) int {
+	rows, cols := m.Rows(), m.Cols()
+	a := make([][]big.Rat, rows)
+	for i := range a {
+		a[i] = make([]big.Rat, cols)
+		for j := range a[i] {
+			if m.Get(i, j) {
+				a[i][j].SetInt64(1)
+			}
+		}
+	}
+	rank := 0
+	var f, t big.Rat
+	for col := 0; col < cols && rank < rows; col++ {
+		pivot := -1
+		for r := rank; r < rows; r++ {
+			if a[r][col].Sign() != 0 {
+				pivot = r
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		a[rank], a[pivot] = a[pivot], a[rank]
+		for r := rank + 1; r < rows; r++ {
+			if a[r][col].Sign() == 0 {
+				continue
+			}
+			f.Quo(&a[r][col], &a[rank][col])
+			for j := col; j < cols; j++ {
+				t.Mul(&f, &a[rank][j])
+				a[r][j].Sub(&a[r][j], &t)
+			}
+		}
+		rank++
+	}
+	return rank
 }

@@ -284,16 +284,17 @@ func TestKernelAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Rank on two matrices the modular pass cannot certify, so the exact
-	// elimination runs: its matrix is one slab, but big.Int products still
-	// allocate as they grow (one big.Int per entry made 110 and 255).
+	// Rank on two matrices below full rank, so the exact elimination runs:
+	// its int64 matrix is one slab plus the row headers (big.Int entries
+	// made 50 and 106 as products grew, and one big.Int per entry 110 and
+	// 255).
 	for _, tc := range []struct {
 		name string
 		m    *Matrix
 		want float64
 	}{
-		{"fig1b", MustParse(fig1b), 50},
-		{"random10", Random(rand.New(rand.NewSource(1)), 10, 10, 0.3), 106},
+		{"fig1b", MustParse(fig1b), 2},
+		{"random10", Random(rand.New(rand.NewSource(1)), 10, 10, 0.3), 2},
 	} {
 		if got := testing.AllocsPerRun(200, func() { tc.m.Rank() }); got != tc.want {
 			t.Errorf("Rank(%s): %v allocs per run, want %v", tc.name, got, tc.want)

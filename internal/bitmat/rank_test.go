@@ -126,11 +126,55 @@ func naiveRankFloat(m *Matrix) int {
 	return rank
 }
 
+// rankBareiss computes the exact rational rank with Bareiss elimination
+// over big.Int from the first step, the elimination Rank ran before its
+// int64 steps: the reference the tests compare with.
+func (m *Matrix) rankBareiss() int {
+	e := m.newElim()
+	return e.bigSteps()
+}
+
+// TestRankMatchesBareiss compares Rank with the big.Int elimination from
+// the first step on shapes 1..100 at densities 0.01–0.9, and runs the
+// int64 steps on dense squares from 40×40 up with a repeated row and
+// column, where they must overflow and hand over to big.Int: the modular
+// pass sees them rank-deficient, so Rank runs that hand-over too.
+func TestRankMatchesBareiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	densities := []float64{0.01, 0.03, 0.1, 0.3, 0.5, 0.9}
+	for n := 1; n <= 100; n++ {
+		d := densities[n%len(densities)]
+		m := Random(rng, n, 1+rng.Intn(100), d)
+		if got, want := m.Rank(), m.rankBareiss(); got != want {
+			t.Fatalf("%d×%d at %.2f: Rank %d, rankBareiss %d\n%s", m.Rows(), m.Cols(), d, got, want, m)
+		}
+	}
+	for _, n := range []int{40, 50, 64} {
+		m := Random(rng, n, n, 0.5)
+		m.SetRow(n-1, m.Row(0))
+		for i := 0; i < n; i++ {
+			m.Set(i, n-1, m.Get(i, 1))
+		}
+		e := m.newElim()
+		if e.int64Steps() {
+			t.Fatalf("dense %d×%d: int64 steps finished without leaving ±2³¹", n, n)
+		}
+		got := e.bigSteps()
+		want := m.rankBareiss()
+		if got != want || m.Rank() != want {
+			t.Fatalf("dense %d×%d: int64 then big.Int %d, Rank %d, rankBareiss %d", n, n, got, m.Rank(), want)
+		}
+		if m.rankMod() == n {
+			t.Fatalf("dense %d×%d: modular rank is full, so Rank skips the hand-over", n, n)
+		}
+	}
+}
+
 func TestRankModLowerBoundsBareiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		m := Random(rng, 2+rng.Intn(8), 2+rng.Intn(8), 0.2+0.6*rng.Float64())
-		rp := m.rankMod(rankPrime)
+		rp := m.rankMod()
 		rb := m.rankBareiss()
 		if rp > rb {
 			t.Fatalf("modular rank %d > rational rank %d\n%s", rp, rb, m)
@@ -207,5 +251,23 @@ func TestModInverse(t *testing.T) {
 		if a*inv%rankPrime != 1 {
 			t.Errorf("modInverse(%d) wrong", a)
 		}
+	}
+}
+
+// BenchmarkRank times Rank on a sparse 70×70 block below full rank (the
+// modular pass, then int64 steps), and on dense 40×40 and 100×100 squares
+// of full rank (the modular pass alone).
+func BenchmarkRank(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		density float64
+	}{{"sparse70", 70, 0.04}, {"dense40", 40, 0.5}, {"dense100", 100, 0.5}} {
+		m := Random(rand.New(rand.NewSource(70)), c.n, c.n, c.density)
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				m.Rank()
+			}
+		})
 	}
 }

@@ -96,7 +96,8 @@ type Options struct {
 	// FoolingBudget is the node budget for the exact fooling-set lower
 	// bound; 0 skips the fooling bound entirely (the paper's loop uses only
 	// the rank bound; fooling strengthens certificates on small instances).
-	// The budget applies per block.
+	// The budget applies per block, and only blocks whose packed depth is
+	// above their rank bound run the search (see Result.FoolingLB).
 	FoolingBudget int64
 	// DisableCompression solves on the raw matrix instead of the
 	// deduplicated reduction.
@@ -160,9 +161,13 @@ type Result struct {
 	// RankLB is the rational-rank lower bound (Eq. 3; summed over blocks —
 	// rank is additive over the connected-component decomposition).
 	RankLB int
-	// FoolingLB is the best fooling-set lower bound computed (0 if
-	// skipped). Blockwise fooling sets union into a fooling set of the
-	// whole matrix, so this too is summed over blocks.
+	// FoolingLB is the size of a fooling set the solve found (0 when
+	// FoolingBudget is 0). The exact search runs only on blocks where the
+	// rank bound leaves a gap; a block the rank bound certifies reports its
+	// greedy set (fooling.Greedy), since no larger set could change its
+	// depth or certificate. So this is a lower bound on the depth, not the
+	// largest fooling set. Blockwise fooling sets union into a fooling set
+	// of the whole matrix, so this too is summed over blocks.
 	FoolingLB int
 	// Optimal reports whether Depth is proved minimal, i.e. Depth = r_B(M).
 	// After decomposition this holds iff every block was solved optimally.
@@ -183,9 +188,10 @@ type Result struct {
 	Canceled bool
 	// CacheHit reports that the result was served from a fingerprint cache
 	// (see internal/solvecache) rather than a pipeline run. On cache hits
-	// the solver-stage fields — SATCalls, Conflicts, PackTime, SATTime —
-	// are zeroed rather than replaying the original solve's values: they
-	// describe work this request did, which was none.
+	// the solver-stage fields — SATCalls, Conflicts, Decisions,
+	// Propagations, PackTime, SATTime — are zeroed rather than replaying
+	// the original solve's values: they describe work this request did,
+	// which was none.
 	CacheHit bool
 	// Blocks is the number of connected components the solve decomposed
 	// into (1 when decomposition is disabled or the matrix is connected).
@@ -197,6 +203,9 @@ type Result struct {
 	SATCalls int
 	// Conflicts is the total SAT conflicts spent across all blocks.
 	Conflicts int64
+	// Decisions and Propagations are the SAT solver's decision and unit
+	// propagation counts, summed over blocks like Conflicts.
+	Decisions, Propagations int64
 	// PackTime and SATTime split the runtime by stage (Figure 4's split),
 	// summed over blocks — with Parallelism > 1 these are aggregate
 	// per-block times and may exceed the wall clock. PackTime times packing
@@ -342,6 +351,8 @@ func SolveContext(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result,
 		res.HeuristicDepth += br.HeuristicDepth
 		res.SATCalls += br.SATCalls
 		res.Conflicts += br.Conflicts
+		res.Decisions += br.Decisions
+		res.Propagations += br.Propagations
 		res.PackTime += br.PackTime
 		res.SATTime += br.SATTime
 		res.TimedOut = res.TimedOut || br.TimedOut
@@ -423,11 +434,12 @@ func apportionConflicts(total int64, blocks []bitmat.Block) []int64 {
 }
 
 // solveBlock runs Algorithm 1 on one connected block, bounds first: rank,
-// then row packing down to the rank bound, then the fooling search capped at
-// the packed depth, then SAT narrowing from the packed depth − 1. Both stops
-// leave the result exactly as an uncapped run would (see PackDownTo and
-// ExactUpTo). The returned Result carries a block-local partition (not yet
-// lifted or validated) plus the block's provenance fields.
+// then row packing down to the rank bound, then, where packing stayed above
+// rank, the fooling search capped at the packed depth, then SAT narrowing
+// from the packed depth − 1. Both stops leave the result exactly as an
+// uncapped run would (see PackDownTo and ExactUpTo). The returned Result
+// carries a block-local partition (not yet lifted or validated) plus the
+// block's provenance fields.
 func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Options, st Strategy, conflictBudget int64, deadline time.Time) (*Result, error) {
 	res := &Result{Blocks: 1}
 	if m.Ones() == 0 {
@@ -459,14 +471,21 @@ func solveBlock(ctx context.Context, blockIdx int, m *bitmat.Matrix, opts Option
 	res.PackTime = time.Since(t0)
 	res.HeuristicDepth = best.Depth()
 
-	// The fooling bound, which cannot exceed the packed depth.
+	// The fooling bound, which cannot exceed the packed depth. Once packing
+	// meets the rank bound no fooling set can move the depth or the
+	// certificate (CertFooling needs FoolingLB > RankLB, and here FoolingLB
+	// ≤ depth = RankLB), so the exact search runs only where rank leaves a
+	// gap, and a rank-certified block reports the greedy set the search
+	// would start from.
 	lb := res.RankLB
 	if opts.FoolingBudget > 0 {
-		fs, _ := fooling.ExactUpTo(m, opts.FoolingBudget, best.Depth())
-		res.FoolingLB = len(fs)
-		if res.FoolingLB > lb {
-			lb = res.FoolingLB
+		if best.Depth() <= res.RankLB {
+			res.FoolingLB = len(fooling.Greedy(m))
+		} else {
+			fs, _ := fooling.ExactUpTo(m, opts.FoolingBudget, best.Depth())
+			res.FoolingLB = len(fs)
 		}
+		lb = max(lb, res.FoolingLB)
 	}
 
 	res.Partition = best
@@ -523,6 +542,7 @@ const probeChunk = 20_000
 func narrow(ctx context.Context, res *Result, m *bitmat.Matrix, blockIdx, start, lb int, st Strategy, budget int64, deadline time.Time) (unsat bool, err error) {
 	enc := st.NewEncoder(m, start)
 	s := enc.Solver()
+	defer func() { res.Decisions, res.Propagations = s.Decisions, s.Propagations }()
 	defer progress(ctx, enc, blockIdx, lb)()
 	s.SetInterrupt(func() bool { return ctx.Err() != nil })
 	defer s.SetInterrupt(nil)

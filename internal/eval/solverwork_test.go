@@ -14,8 +14,10 @@ import (
 )
 
 // The solver-work pins: for each committed suite on the default solve path,
-// the summed depth, SAT conflicts, SAT calls, rank and fooling lower bounds
-// and heuristic depth, plus a SHA-256 over every partition as index lists.
+// the summed depth, SAT conflicts, decisions and propagations, SAT calls,
+// rank and fooling lower bounds and heuristic depth, plus a SHA-256 over
+// every partition as index lists. Propagations see a reordered watch list
+// even where the conflict counts happen to coincide.
 // All of them repeat exactly per input, so a change that means to leave the
 // search alone (a refactor, a deleted ablation) must leave every value here
 // unchanged, and a change that means to move the search states its new
@@ -30,6 +32,8 @@ type workPin struct {
 	opts      func() core.Options
 	depth     int
 	conflicts int64
+	decisions int64
+	props     int64 // propagations
 	satCalls  int
 	optimal   int // instances proved optimal
 	rankLB    int
@@ -100,6 +104,7 @@ func solverWorkPins() []workPin {
 		{
 			name: "table-i-gap", ms: GapSuiteMatrices, opts: TableIGapSAPOptions,
 			depth: 141, conflicts: 503, satCalls: 4, optimal: 20,
+			decisions: 664, props: 41_959,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
@@ -112,6 +117,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 141, conflicts: 395, satCalls: 4, optimal: 20,
+			decisions: 530, props: 36_341,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
@@ -123,6 +129,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 141, conflicts: 7_082, satCalls: 4, optimal: 20,
+			decisions: 7994, props: 389_779,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
@@ -130,6 +137,7 @@ func solverWorkPins() []workPin {
 			name: "blockdiag-decomposed", ms: BlockDiagSAPMatrices,
 			opts:  func() core.Options { return BlockDiagSAPOptions(true) },
 			depth: 75, conflicts: 0, satCalls: 1, optimal: 3,
+			decisions: 0, props: 141,
 			rankLB: 74, heuristic: 75,
 			sha: "a175b932e75a2cf99776824d45fce5055f9755222fb450f945ae6e64e8c086db",
 		},
@@ -137,6 +145,7 @@ func solverWorkPins() []workPin {
 			name: "blockdiag-whole", ms: BlockDiagSAPMatrices,
 			opts:  func() core.Options { return BlockDiagSAPOptions(false) },
 			depth: 75, conflicts: 0, satCalls: 1, optimal: 3,
+			decisions: 0, props: 1763,
 			rankLB: 74, heuristic: 75,
 			sha: "c474c8b20ab9f8cfa9d618b3f5c66cc72eda470202dfdeb5a17f141620caae17",
 		},
@@ -144,6 +153,7 @@ func solverWorkPins() []workPin {
 			name: "gap-12x12-p3",
 			ms:   func() []*bitmat.Matrix { return matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4)) },
 			opts: foolingOff, depth: 43, conflicts: 542, satCalls: 3, optimal: 4,
+			decisions: 719, props: 55_632,
 			rankLB: 39, heuristic: 43,
 			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
 		},
@@ -155,6 +165,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 886, conflicts: 401, satCalls: 9, optimal: 114,
+			decisions: 554, props: 34_088,
 			rankLB: 876, heuristic: 886,
 			sha: "c863bc0aa8e6b044dee1898fd44e9d65ae6025ede6f41aa3d931621eeebb7d71",
 		},
@@ -171,6 +182,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 11, conflicts: 25_502, satCalls: 1, optimal: 1,
+			decisions: 27_661, props: 1_375_152,
 			rankLB: 9, heuristic: 11,
 			sha: "4b05260eef176345c421b18e7e703a3c2a702df32a82260a8b83fffd68a3c334",
 		},
@@ -185,6 +197,7 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 43, conflicts: 311, satCalls: 3, optimal: 3,
+			decisions: 406, props: 32_809,
 			rankLB: 39, heuristic: 43,
 			sha: "5ba6f1673c97d58ede6314cbd78aadb7186e44bf756ba1eadeec8dddc8044e82",
 		},
@@ -197,12 +210,15 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 141, conflicts: 486, satCalls: 4, optimal: 20,
+			decisions: 732, props: 43_429,
 			rankLB: 137, heuristic: 141,
 			sha: "c8dc566e7288c72a8abc96c6c3334acd39c0cd9ee910222c0ae16a41d294b9ed",
 		},
 		{
 			// The path the daemons run: default options (fooling bound on)
-			// under the load benchmark's per-request conflict budget.
+			// under the load benchmark's per-request conflict budget. Its
+			// rank-certified blocks report their greedy fooling sets
+			// (830 when every block ran the exact search).
 			name: "daemon-default",
 			ms: func() []*bitmat.Matrix {
 				return append(paperSuitesSmall(), matrices(benchgen.GapSuite(1203, 12, 12, []int{3}, 4))...)
@@ -213,7 +229,8 @@ func solverWorkPins() []workPin {
 				return opts
 			},
 			depth: 929, conflicts: 13, satCalls: 7, optimal: 118,
-			rankLB: 915, foolingLB: 830, heuristic: 929,
+			decisions: 21, props: 3107,
+			rankLB: 915, foolingLB: 804, heuristic: 929,
 			sha: "8bf5c46ce4a68f321d63abc5f2e4d20f565872d364cd95e54beb0185a9543334",
 		},
 		{
@@ -221,6 +238,7 @@ func solverWorkPins() []workPin {
 			// conflicts: every instance is proved optimal.
 			name: "hard-tail", ms: hardTail, opts: core.DefaultOptions,
 			depth: 220, conflicts: 6_303, satCalls: 18, optimal: 15,
+			decisions: 10_655, props: 860_716,
 			rankLB: 185, foolingLB: 183, heuristic: 223,
 			sha: "8a327af078fb50cb21783fb07554a552fcc505c9d929bfa0df90b64470e6bffe",
 		},
@@ -233,6 +251,7 @@ func solverWorkPins() []workPin {
 			},
 			opts:  core.DefaultOptions,
 			depth: 20, conflicts: 30_893, satCalls: 1, optimal: 1,
+			decisions: 63_040, props: 5_959_351,
 			rankLB: 17, foolingLB: 15, heuristic: 20,
 			sha: "2c8548bc4cec624e607c621eba6939a0bc6d21d6ecbfc18686f6cf72a8f5a88a",
 		},
@@ -260,7 +279,7 @@ func TestSolverWorkPins(t *testing.T) {
 			var (
 				depth, calls, optimal        int
 				rankLB, foolingLB, heuristic int
-				conflicts                    int64
+				conflicts, decisions, props  int64
 				results                      []*core.Result
 			)
 			for i, m := range pin.ms() {
@@ -270,6 +289,8 @@ func TestSolverWorkPins(t *testing.T) {
 				}
 				depth += res.Depth
 				conflicts += res.Conflicts
+				decisions += res.Decisions
+				props += res.Propagations
 				calls += res.SATCalls
 				rankLB += res.RankLB
 				foolingLB += res.FoolingLB
@@ -280,11 +301,14 @@ func TestSolverWorkPins(t *testing.T) {
 				results = append(results, res)
 			}
 			sha := partitionDigest(results)
-			t.Logf("%d instances: depth %d, conflicts %d, SAT calls %d, optimal %d, rank LB %d, fooling LB %d, heuristic depth %d, partitions %s",
-				len(results), depth, conflicts, calls, optimal, rankLB, foolingLB, heuristic, sha)
+			t.Logf("%d instances: depth %d, conflicts %d, decisions %d, propagations %d, SAT calls %d, optimal %d, rank LB %d, fooling LB %d, heuristic depth %d, partitions %s",
+				len(results), depth, conflicts, decisions, props, calls, optimal, rankLB, foolingLB, heuristic, sha)
 			if depth != pin.depth || conflicts != pin.conflicts || calls != pin.satCalls || optimal != pin.optimal {
 				t.Errorf("depth/conflicts/calls/optimal = %d/%d/%d/%d, pinned %d/%d/%d/%d",
 					depth, conflicts, calls, optimal, pin.depth, pin.conflicts, pin.satCalls, pin.optimal)
+			}
+			if decisions != pin.decisions || props != pin.props {
+				t.Errorf("decisions/propagations = %d/%d, pinned %d/%d", decisions, props, pin.decisions, pin.props)
 			}
 			if rankLB != pin.rankLB || foolingLB != pin.foolingLB || heuristic != pin.heuristic {
 				t.Errorf("rank LB/fooling LB/heuristic depth = %d/%d/%d, pinned %d/%d/%d",

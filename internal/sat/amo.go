@@ -2,7 +2,7 @@ package sat
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Native at-most-one propagation. The EBMF one-hot encoding is dominated by
@@ -51,9 +51,11 @@ func (s *Solver) AddAtMostOne(lits ...Lit) {
 		return
 	}
 	s.cancelUntil(0)
-	ls := make([]Lit, len(lits))
-	copy(ls, lits)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// The group is normalized in addBuf, AddClause's buffer; registerAMO
+	// copies it.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 
 	// Normalize: l and ¬l sort adjacently (2v, 2v+1), duplicates likewise.
 	group := ls[:0]

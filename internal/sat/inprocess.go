@@ -41,6 +41,8 @@ func (s *Solver) maybeInprocess() {
 	}
 	s.lastInprocess = s.Conflicts
 	s.InprocPasses++
+	// The sweeps rewrite clauses and their watchers in place.
+	s.attachPending()
 	if s.propagate() != crefUndef {
 		s.rootConflict()
 		return
@@ -205,6 +207,7 @@ func (s *Solver) selfSubsumeSweep() {
 		return compactList(list)
 	}
 	s.clauses = sweep(s.clauses)
+	s.attached = len(s.clauses) // every clause was attached before the sweep
 	if s.unsatRoot {
 		return
 	}

@@ -3,6 +3,8 @@ package sat
 import (
 	"bufio"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -20,6 +22,12 @@ type Solver struct {
 	ca      clauseArena
 	clauses []cref // problem clauses
 	learnts []cref // learnt clauses
+	// attached is the length of the prefix of clauses whose watchers are
+	// installed; the problem clauses after it wait for attachPending.
+	attached int
+	// attachCount is attachPending's per-literal watcher count, zero
+	// between calls: long-clause lists first, then binary ones.
+	attachCount []int32
 	// watches holds the two-watched-literal lists of clauses with ≥3
 	// literals; binary clauses live in binWatches, where an entry's
 	// blocker is the entire rest of the clause (see attachClause).
@@ -161,11 +169,12 @@ func (s *Solver) ReserveVars(n int) {
 	s.heap.reserve(n)
 }
 
-// ReserveClauses pre-sizes the clause arena for n more clauses holding lits
-// literals in total, with the same allocate-once-instead-of-doubling intent
-// as ReserveVars. Units never reach the arena, so callers count only
-// clauses of two or more literals.
+// ReserveClauses pre-sizes the clause arena and the problem-clause list
+// for n more clauses holding lits literals in total, with the same
+// allocate-once-instead-of-doubling intent as ReserveVars. Units never
+// reach the arena, so callers count only clauses of two or more literals.
 func (s *Solver) ReserveClauses(n, lits int) {
+	s.clauses = slices.Grow(s.clauses, n)
 	words := len(s.ca.data) + n*hdrWords + lits
 	if words <= cap(s.ca.data) {
 		return
@@ -304,9 +313,8 @@ func (s *Solver) AddClause(lits ...Lit) {
 			s.unsatRoot = true
 		}
 	default:
-		c := s.ca.alloc(out, false)
-		s.clauses = append(s.clauses, c)
-		s.attachClause(c)
+		// Watched by attachPending, before propagation next has work.
+		s.clauses = append(s.clauses, s.ca.alloc(out, false))
 	}
 }
 
@@ -319,9 +327,14 @@ func (s *Solver) AddClause(lits ...Lit) {
 func (s *Solver) prepareClause(lits []Lit) (out []Lit, keep bool) {
 	ls := append(s.addBuf[:0], lits...)
 	s.addBuf = ls
-	if len(ls) > 64 {
+	switch {
+	case len(ls) == 2:
+		if ls[1] < ls[0] {
+			ls[0], ls[1] = ls[1], ls[0]
+		}
+	case len(ls) > 64:
 		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	} else {
+	default:
 		for i := 1; i < len(ls); i++ {
 			for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
 				ls[j], ls[j-1] = ls[j-1], ls[j]
@@ -351,6 +364,84 @@ func (s *Solver) prepareClause(lits []Lit) (out []Lit, keep bool) {
 	}
 	return out, true
 }
+
+// attachPending installs the watchers of the problem clauses added since
+// the last call, in addition order, so every list holds exactly the
+// watchers, in the order, that an attachClause per AddClause would have
+// left. Nothing reads or moves a watcher in between: propagate calls it
+// before it has work, and inprocessing and garbage collection, the other
+// readers, call it or rebuild every list. One counting pass sizes each
+// touched list once, cut from one backing array per kind, and the
+// watchers are then stored by index, in place of a growing append per
+// watcher.
+func (s *Solver) attachPending() {
+	pending := s.clauses[s.attached:]
+	s.attached = len(s.clauses)
+	if len(pending) == 0 {
+		return
+	}
+	n := len(s.watches)
+	if len(s.attachCount) < 2*n {
+		s.attachCount = make([]int32, 2*n)
+	}
+	long, bin := s.attachCount[:n], s.attachCount[n:2*n]
+	for _, c := range pending {
+		next := long
+		if s.ca.size(c) == 2 {
+			next = bin
+		}
+		next[s.ca.lit(c, 0).Neg()]++
+		next[s.ca.lit(c, 1).Neg()]++
+	}
+	extendLists(s.watches, long)
+	extendLists(s.binWatches, bin)
+	for _, c := range pending {
+		lists, next := s.watches, long
+		if s.ca.size(c) == 2 {
+			lists, next = s.binWatches, bin
+		}
+		l0, l1 := s.ca.lit(c, 0), s.ca.lit(c, 1)
+		lists[l0.Neg()][next[l0.Neg()]] = watcher{c, l1}
+		next[l0.Neg()]++
+		lists[l1.Neg()][next[l1.Neg()]] = watcher{c, l0}
+		next[l1.Neg()]++
+	}
+	clear(s.attachCount)
+}
+
+// extendLists lengthens each list by count[l] watchers and leaves in
+// count[l] the index of the first new one. A list without that much spare
+// capacity moves to a cut of one new backing array, with room up to the
+// next power of two, as append's doubling would leave it, so that the watch
+// moves of the next propagation mostly find room too.
+func extendLists(lists [][]watcher, count []int32) {
+	need := 0
+	for l, k := range count {
+		if ws := lists[l]; k > 0 && cap(ws)-len(ws) < int(k) {
+			need += roomFor(len(ws) + int(k))
+		}
+	}
+	backing := make([]watcher, need)
+	for l, k := range count {
+		if k == 0 {
+			continue
+		}
+		ws := lists[l]
+		n, end := len(ws), len(ws)+int(k)
+		if cap(ws) < end {
+			room := roomFor(end)
+			ws = backing[:n:room]
+			copy(ws, lists[l])
+			backing = backing[room:]
+		}
+		lists[l] = ws[:end]
+		count[l] = int32(n)
+	}
+}
+
+// roomFor is the capacity of a moved list of n watchers: the least power
+// of two above n.
+func roomFor(n int) int { return 1 << bits.Len(uint(n)) }
 
 // attachClause installs the watchers of c: each watched literal's negation
 // maps to a watcher blocking on the other watched literal. Binary clauses
@@ -397,8 +488,13 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// crefUndef.
+// crefUndef. Problem clauses still waiting for their watchers get them
+// first, but only when there is work: AddAtMostOne propagates after every
+// group, and attaching there would cut the lists once per group.
 func (s *Solver) propagate() cref {
+	if s.qhead < len(s.trail) && s.attached < len(s.clauses) {
+		s.attachPending()
+	}
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; visit clauses watching ¬p
 		s.qhead++
@@ -898,6 +994,7 @@ func (s *Solver) maybeCollectGarbage() bool {
 	for _, c := range s.clauses {
 		s.attachClause(c)
 	}
+	s.attached = len(s.clauses)
 	for _, c := range s.learnts {
 		s.attachClause(c)
 	}

@@ -658,6 +658,7 @@ func lift(e *entry, fp *bitmat.Fingerprint, m *bitmat.Matrix, hit bool) (answer,
 		out.CacheHit = true
 		out.SATCalls = 0
 		out.Conflicts = 0
+		out.Decisions, out.Propagations = 0, 0
 		out.PackTime = 0
 		out.SATTime = 0
 	}

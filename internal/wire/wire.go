@@ -51,6 +51,17 @@
 //     "share_clauses" false, and "portfolio_strategies" one name, which
 //     runs that strategy solo.
 //
+// # Result fields
+//
+// "rank_lb" is the rational rank (Eq. 3 of the paper), summed over the
+// matrix's blocks. "fooling_lb" is the size of a fooling set the solve
+// found, also a lower bound on the depth, but not the largest set: the
+// exact search runs only on blocks whose packed depth is above their rank,
+// and a block the rank bound certifies reports its greedy set, since no
+// larger set could change its depth or certificate. "certificate" names
+// the strongest proof any block needed: "rank", "fooling-set" (the depth
+// equals fooling_lb, which beats rank_lb) or "unsat-proof".
+//
 // # Error envelope
 //
 // Every non-2xx response body is an ErrorResponse: a human-readable message
